@@ -9,7 +9,7 @@ resolved configuration as a JSON comment so a result file reparses into the
 exact run that produced it.
 
 Exit codes: 0 success (including infeasible-but-computed results),
-2 malformed configuration, 3 numeric failure.
+2 malformed configuration, 3 numeric failure (including out of memory).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ CSV_HEADER = (
 
 _SWEEPABLE = ("r", "k", "tau", "n", "m", "gamma_r", "gamma_e")
 _INT_PARAMS = ("k", "n", "m")
+_THRESHOLDS = ("gamma_r", "gamma_e")
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,14 @@ class SweepSpec:
             raise ValueError("sweep.steps must be at least 1")
         if self.scale not in ("linear", "log"):
             raise ValueError("sweep.scale must be 'linear' or 'log'")
+        endpoints = (self.start, self.stop)
+        if any(math.isnan(v) for v in endpoints):
+            raise ValueError("sweep endpoints must be numbers, got nan")
+        if any(math.isinf(v) for v in endpoints) and (
+            self.steps > 1 or self.param in _INT_PARAMS
+        ):
+            # an infinite endpoint leaves no finite interior grid and no integer
+            raise ValueError("sweep endpoints must be finite for integer or multi-step grids")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
             raise ValueError("log-scale sweeps need positive endpoints")
 
@@ -425,40 +434,80 @@ def cmd_simulate(config: RunConfig, want_report: bool, workers: int = 1) -> int:
     return 0
 
 
+@dataclass
+class _SweepPoint:
+    value: object
+    config: RunConfig
+    params: ProtocolParams | None = None
+    bnd: BoundReport | None = None
+    est: EstimateReport | None = None
+    error: bool = False
+
+
+def _simulate_points(points: list, param: str, trials: int, seed: int, workers: int) -> None:
+    """Attach estimates to the valid sweep points, in as few simulations as the grid allows.
+
+    The SINR thresholds enter no draw, so a gamma_r or gamma_e grid is one
+    simulation (common random numbers); any other parameter changes the
+    selection or the jammer sets and is simulated point by point.
+    """
+    live = [p for p in points if not p.error]
+    if param in _THRESHOLDS:
+        groups = [live] if live else []
+    else:
+        groups = [[p] for p in live]
+    for group in groups:
+        try:
+            if param in _THRESHOLDS:
+                values = [getattr(p.params, param) for p in group]
+                ests = estimate(group[0].params, trials, seed, workers=workers,
+                                **{param: values})
+            else:
+                ests = [estimate(group[0].params, trials, seed, workers=workers)]
+        except ValueError:
+            for p in group:
+                p.error = True
+            continue
+        for p, est in zip(group, ests):
+            p.est = est
+
+
 def cmd_sweep(config: RunConfig, want_report: bool, with_bounds: bool,
               with_sim: bool, workers: int = 1) -> int:
     if config.sweep is None:
         raise ValueError("sweep requires a sweep spec (--sweep-param or config 'sweep')")
+    param = config.sweep.param
+    points = [
+        _SweepPoint(value, dataclasses.replace(config, sweep=None, out=None, **{param: value}))
+        for value in config.sweep.values()
+    ]
+    for point in points:
+        try:
+            point.params = point.config.protocol_params()
+            if with_bounds:
+                point.bnd = evaluate_bounds(point.params, config.eps_t, config.eps_s,
+                                            config.p_region(point.params))
+        except ValueError:
+            point.error = True
+    if with_sim:
+        _simulate_points(points, param, config.trials, config.seed, workers)
     rows = []
     summaries = []
-    for value in config.sweep.values():
-        point = dataclasses.replace(config, sweep=None, out=None)
-        point = dataclasses.replace(point, **{config.sweep.param: value})
-        params = None
-        est = None
-        bnd = None
-        error = False
-        try:
-            params = point.protocol_params()
-            if with_bounds:
-                bnd = evaluate_bounds(params, point.eps_t, point.eps_s, point.p_region(params))
-            if with_sim:
-                est = estimate(params, point.trials, point.seed, workers=workers)
-        except ValueError:
-            error = True
+    for point in points:
+        est, bnd = point.est, point.bnd
         rows.append(
             _csv_row(
-                _row_fields(point, params),
-                point.trials if est is not None else None,
-                point.seed if est is not None else None,
+                _row_fields(point.config, point.params),
+                config.trials if est is not None else None,
+                config.seed if est is not None else None,
                 est,
                 bnd,
-                error=error,
+                error=point.error,
             )
         )
         if want_report:
-            tag = f"{config.sweep.param}={_fmt(value)}"
-            if error:
+            tag = f"{param}={_fmt(point.value)}"
+            if point.error:
                 summaries.append(f"{tag}: parameter error")
             else:
                 parts = []
@@ -530,6 +579,9 @@ def main(argv=None) -> int:
         )
     except (QuadratureError, FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("numeric failure: out of memory (n*m too large for one batch)", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -55,6 +55,11 @@ def eave_node(i: int):
     return ("E", int(i))
 
 
+# NaN is rejected in every one of these; infinity only where it means something
+# (an unbounded selection radius r, a jamming threshold tau that every relay meets).
+_FLOAT_FIELDS = ("r", "tau", "gamma_r", "gamma_e", "alpha", "d0", "es", "n0", "delta")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """All scenario knobs for one protocol configuration.
@@ -84,6 +89,12 @@ class ProtocolParams:
     case: Case = Case.EQUAL_PATH_LOSS
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if math.isnan(value) or (math.isinf(value) and name not in ("r", "tau")):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.n < 0 or self.m < 0:
             raise ValueError("node counts must be nonnegative")
         if self.n >= 1:

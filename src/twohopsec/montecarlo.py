@@ -13,10 +13,24 @@ skips the position draws): relay positions, eavesdropper positions, gains
 source->relays, gains destination->relays, the relay-selection uniform,
 gains relays->selected relay, gains source->eavesdroppers, gains
 relays->eavesdroppers.
+
+Neither SINR threshold enters a draw, the relay selection or the jammer
+sets, so each trial is reduced to two statistics: the legitimate bottleneck
+SINR ``min(hop-1 SINR, hop-2 SINR)`` and the strongest eavesdropper SINR,
+the maximum over eavesdroppers and both hops, with capture (``d < d0``)
+counted as ``+inf``.  A trial is a transmission outage at ``gamma_r`` when it
+has no candidate relay or its bottleneck is below ``gamma_r``, and a secrecy
+outage at ``gamma_e`` when it has a candidate and its strongest eavesdropper
+reaches ``gamma_e``.  Each batch counts these outages for a whole grid of
+thresholds at once, so a gamma_r or gamma_e sweep costs one simulation
+(common random numbers) and a single point is the one-value grid.  The draw
+order above and the comparisons are the same for every grid, so each grid
+value gets exactly the counts of a separate run at that value.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -83,14 +97,20 @@ class ComparisonRow:
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    The endpoints at 0 and at ``trials`` successes are exactly 0 and 1: the
+    formula gives them only up to rounding.
+    """
     if trials < 1:
         raise ValueError("trials must be positive")
     p = successes / trials
     zz = z * z / trials
     center = (p + zz / 2.0) / (1.0 + zz)
     half = (z / (1.0 + zz)) * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials))
-    return (max(0.0, center - half), min(1.0, center + half))
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return (lo, hi)
 
 
 def load_balance(selection_histogram) -> tuple:
@@ -120,17 +140,25 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     )
 
 
-def _run_batch(task) -> tuple:
-    """Simulate one batch.
+def _count_below(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """For each grid value g, how many of ``values`` are strictly below g."""
+    return np.searchsorted(np.sort(values), grid, side="left")
 
-    Returns (t_outages, s_outages, no_candidate, histogram,
-    sum of candidate counts, sum of log candidate counts), the last two over
-    trials that selected a relay.
+
+def _run_batch(task) -> tuple:
+    """Simulate one batch and count its outages at every threshold of the grids.
+
+    Returns (t_outages per gamma_r, s_outages per gamma_e, no_candidate,
+    histogram, sum of candidate counts, sum of log candidate counts), the
+    last two over trials that selected a relay.  ``params.gamma_r`` and
+    ``params.gamma_e`` are not read; the grids take their place.
     """
-    params, seed, batch_index, size = task
+    params, seed, batch_index, size, gamma_r, gamma_e = task
     n, m, k = params.n, params.m, params.k
     if n == 0:
-        return size, 0, size, np.zeros(0, dtype=np.int64), 0, 0.0
+        return (np.full(len(gamma_r), size, dtype=np.int64),
+                np.zeros(len(gamma_e), dtype=np.int64), size,
+                np.zeros(0, dtype=np.int64), 0, 0.0)
     rng = _batch_rng(seed, batch_index)
     general = params.is_general
     alpha, delta, es, n0 = params.alpha, params.delta, params.es, params.n0
@@ -189,9 +217,7 @@ def _run_batch(task) -> tuple:
     noise = n0 / 2.0
     intf1 = es * np.sum(mask1 * g_rr * pl_rr, axis=1)
     intf2 = es * np.sum(mask2 * g_dr * pl_rd, axis=1)
-    t_out = no_cand | (sig1 / (intf1 + noise) < params.gamma_r) | (
-        sig2 / (intf2 + noise) < params.gamma_r
-    )
+    bottleneck = np.minimum(sig1 / (intf1 + noise), sig2 / (intf2 + noise))
 
     if m:
         if general:
@@ -210,23 +236,24 @@ def _run_batch(task) -> tuple:
         weighted = g_re * pl_re
         intf_e1 = es * np.einsum("bn,bnm->bm", mask1.astype(float), weighted)
         intf_e2 = es * np.einsum("bn,bnm->bm", mask2.astype(float), weighted)
-        succ1 = sig_e1 / (intf_e1 + noise) >= params.gamma_e
-        succ2 = sig_e2 / (intf_e2 + noise) >= params.gamma_e
+        # SINRs overwrite the signal arrays: no extra (batch, m) arrays at the peak
+        sinr_e1 = np.divide(sig_e1, intf_e1 + noise, out=sig_e1)
+        sinr_e2 = np.divide(sig_e2, intf_e2 + noise, out=sig_e2)
         if general:
-            succ1 |= d_se < params.d0
-            succ2 |= d_re[idx, jstar, :] < params.d0
-        s_out = np.any(succ1 | succ2, axis=1) & ~no_cand
-        s_count = int(s_out.sum())
+            sinr_e1[d_se < params.d0] = np.inf
+            sinr_e2[d_re[idx, jstar, :] < params.d0] = np.inf
+        eav_max = np.maximum(sinr_e1, sinr_e2, out=sinr_e1).max(axis=1)
     else:
-        s_count = 0
+        eav_max = np.full(size, -np.inf)
 
     selected = ~no_cand
+    n_selected = int(selected.sum())
     hist = np.bincount(jstar[selected], minlength=n).astype(np.int64)
     c_sel = c[selected]
     return (
-        int(t_out.sum()),
-        s_count,
-        int(no_cand.sum()),
+        size - n_selected + _count_below(bottleneck[selected], gamma_r),
+        n_selected - _count_below(eav_max[selected], gamma_e),
+        size - n_selected,
         hist,
         int(c_sel.sum()),
         float(np.log(c_sel).sum()),
@@ -239,13 +266,21 @@ def estimate(
     seed: int,
     workers: int = 1,
     batch_size: int = BATCH_SIZE,
-) -> EstimateReport:
+    *,
+    gamma_r=None,
+    gamma_e=None,
+) -> EstimateReport | list[EstimateReport]:
     """Estimate outage probabilities over ``trials`` independent protocol runs.
 
     Outage frequencies get Wilson 95% intervals; trials with an empty
     candidate set count as transmission outages and are also reported
     separately.  Reproducible for fixed (params, trials, seed, batch_size)
     regardless of ``workers``.
+
+    Given a sequence of ``gamma_r`` or ``gamma_e`` values (at most one of
+    the two), every value is evaluated on the same trials and a list with
+    one report per value is returned; each report equals that of a separate
+    call with the threshold set to that value.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -255,9 +290,19 @@ def estimate(
         raise ConfigurationError(
             "estimate requires n0 > 0: the jammer set is empty with positive probability"
         )
+    if gamma_r is not None and gamma_e is not None:
+        raise ValueError("sweep at most one of gamma_r and gamma_e")
+    if gamma_r is not None:
+        points = [dataclasses.replace(params, gamma_r=float(g)) for g in gamma_r]
+    elif gamma_e is not None:
+        points = [dataclasses.replace(params, gamma_e=float(g)) for g in gamma_e]
+    else:
+        points = [params]
+    grid_r = np.array([p.gamma_r for p in points])
+    grid_e = np.array([p.gamma_e for p in points])
     n_batches = (trials + batch_size - 1) // batch_size
     tasks = [
-        (params, seed, b, min(batch_size, trials - b * batch_size))
+        (params, seed, b, min(batch_size, trials - b * batch_size), grid_r, grid_e)
         for b in range(n_batches)
     ]
     if workers > 1 and n_batches > 1:
@@ -266,8 +311,8 @@ def estimate(
     else:
         results = [_run_batch(t) for t in tasks]
 
-    t_count = sum(r[0] for r in results)
-    s_count = sum(r[1] for r in results)
+    t_counts = sum(r[0] for r in results)
+    s_counts = sum(r[1] for r in results)
     nc_count = sum(r[2] for r in results)
     c_sum = sum(r[4] for r in results)
     log_c_sum = sum(r[5] for r in results)
@@ -284,21 +329,25 @@ def estimate(
         cond_entropy = (
             1.0 if params.n == 1 else (log_c_sum / n_selected) / math.log(params.n)
         )
-    return EstimateReport(
-        params=params,
-        seed=seed,
-        trials=trials,
-        p_t_hat=t_count / trials,
-        p_s_hat=s_count / trials,
-        ci_t=wilson_interval(t_count, trials),
-        ci_s=wilson_interval(s_count, trials),
-        selection_histogram=hist,
-        jain_index=jain,
-        norm_entropy=entropy,
-        no_candidate_rate=nc_count / trials,
-        conditional_jain=cond_jain,
-        conditional_entropy=cond_entropy,
-    )
+    reports = [
+        EstimateReport(
+            params=point,
+            seed=seed,
+            trials=trials,
+            p_t_hat=t_count / trials,
+            p_s_hat=s_count / trials,
+            ci_t=wilson_interval(t_count, trials),
+            ci_s=wilson_interval(s_count, trials),
+            selection_histogram=hist,
+            jain_index=jain,
+            norm_entropy=entropy,
+            no_candidate_rate=nc_count / trials,
+            conditional_jain=cond_jain,
+            conditional_entropy=cond_entropy,
+        )
+        for point, t_count, s_count in zip(points, t_counts.tolist(), s_counts.tolist())
+    ]
+    return reports if gamma_r is not None or gamma_e is not None else reports[0]
 
 
 def _standard_error(ci: tuple) -> float:

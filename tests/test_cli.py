@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from twohopsec import cli
 from twohopsec.cli import (
     CSV_HEADER,
     RunConfig,
@@ -11,6 +12,7 @@ from twohopsec.cli import (
     main,
     parse_config_comment,
 )
+from twohopsec.montecarlo import BATCH_SIZE
 
 HEADER_COLUMNS = CSV_HEADER.split(",")
 
@@ -175,10 +177,124 @@ class TestSweep:
         assert run_cli(["sweep", "--trials", "10"]) == 2
 
 
+def csv_lines(path: Path):
+    return path.read_text().splitlines()[2:]
+
+
+class TestThresholdSweepMatchesSimulate:
+    """gamma_r / gamma_e sweeps run one simulation for the whole grid; every
+    row must still be byte-identical to a separate simulate at that value."""
+
+    SCENARIOS = {
+        "equal": ["--case", "equal", "--n", "6", "--m", "3", "--k", "2", "--tau", "0.3"],
+        "general": ["--case", "general", "--n", "8", "--m", "3", "--k", "2", "--r", "0.35",
+                    "--tau", "0.4"],
+    }
+    # spans three batches, the last one partial
+    TRIALS = str(2 * BATCH_SIZE + 321)
+
+    def _simulate_row(self, tmp_path, base, param, value):
+        out = tmp_path / "sim.csv"
+        flag = "--" + param.replace("_", "-")
+        assert run_cli(["simulate", *base, flag, value, "--out", str(out)]) == 0
+        return csv_lines(out)[0]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("param", ["gamma_r", "gamma_e"])
+    @pytest.mark.parametrize("case", ["equal", "general"])
+    def test_rows_byte_identical(self, tmp_path, case, param, workers):
+        base = [*self.SCENARIOS[case], "--trials", self.TRIALS, "--seed", "6",
+                "--workers", workers]
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", *base, "--sweep-param", param, "--sweep-from", "0.1",
+                        "--sweep-to", "10", "--sweep-steps", "4", "--sweep-scale", "log",
+                        "--no-bounds", "--out", str(out)]) == 0
+        rows = csv_lines(out)
+        assert len(rows) == 4
+        for row in rows:
+            value = dict(zip(HEADER_COLUMNS, row.split(",")))[param]
+            assert row == self._simulate_row(tmp_path, base, param, value)
+
+    def test_invalid_point_keeps_its_error_row(self, tmp_path):
+        base = [*self.SCENARIOS["general"], "--trials", "3000", "--seed", "3"]
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", *base, "--sweep-param", "gamma_e", "--sweep-from", "0",
+                        "--sweep-to", "1.5", "--sweep-steps", "4", "--no-bounds",
+                        "--out", str(out)]) == 0
+        first, *rest = csv_lines(out)
+        assert first == "general,8,3,2,0.35,0.4,1.0,0.0,2.0,0.05,," + "," * 16 + "error"
+        assert len(rest) == 3
+        for row in rest:
+            value = dict(zip(HEADER_COLUMNS, row.split(",")))["gamma_e"]
+            assert row == self._simulate_row(tmp_path, base, "gamma_e", value)
+
+    def test_rows_with_bounds_and_report(self, tmp_path, capsys):
+        base = [*self.SCENARIOS["general"], "--trials", "2000", "--seed", "4",
+                "--sweep-param", "gamma_r", "--sweep-from", "0.5", "--sweep-to", "2",
+                "--sweep-steps", "3"]
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", *base, "--out", str(out)]) == 0
+        rows = [dict(zip(HEADER_COLUMNS, r.split(","))) for r in csv_lines(out)]
+        assert all(r["bound_t"] and r["p_t_hat"] for r in rows)
+        capsys.readouterr()
+        assert run_cli(["sweep", *base, "--report"]) == 0
+        report = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in report] == [
+            "gamma_r=0.5", "gamma_r=1.25", "gamma_r=2"]
+        assert all(f"p_t_hat={float(r['p_t_hat']):.6g}" in line
+                   for r, line in zip(rows, report))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--gamma-r", "nan", "--trials", "1000"],
+        ["simulate", "--gamma-e", "inf"],
+        ["simulate", "--alpha", "inf", "--case", "general"],
+        ["simulate", "--d0", "nan", "--case", "general"],
+        ["bounds", "--es", "inf"],
+        ["bounds", "--n0", "nan"],
+        ["sweep", "--sweep-param", "gamma_e", "--sweep-from", "nan", "--sweep-to", "1",
+         "--sweep-steps", "3"],
+        ["sweep", "--sweep-param", "tau", "--sweep-from", "0", "--sweep-to", "inf",
+         "--sweep-steps", "3"],
+        ["sweep", "--sweep-param", "k", "--sweep-from", "1", "--sweep-to", "inf"],
+    ])
+    def test_exit_2(self, args, capsys):
+        assert run_cli(args) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_infinite_radius_and_tau_still_run(self, tmp_path):
+        out = tmp_path / "inf.csv"
+        assert run_cli(["simulate", "--case", "general", "--r", "inf", "--tau", "inf",
+                        "--trials", "500", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert rows[0]["r"] == "inf" and rows[0]["tau"] == "inf"
+
+
+def test_memory_error_is_numeric_failure(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "estimate", out_of_memory)
+    assert run_cli(["simulate", "--trials", "10"]) == 3
+    assert "numeric failure: out of memory" in capsys.readouterr().err
+
+
 class TestSweepSpec:
     def test_log_scale_needs_positive(self):
         with pytest.raises(ValueError):
             SweepSpec(param="tau", start=0.0, stop=1.0, steps=3, scale="log")
+
+    def test_nan_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            SweepSpec(param="gamma_e", start=math.nan, stop=1.0, steps=3)
+
+    def test_infinite_endpoint_only_for_a_single_real_point(self):
+        assert SweepSpec(param="r", start=math.inf, stop=math.inf, steps=1).values() == [math.inf]
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(param="tau", start=0.0, stop=math.inf, steps=2)
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(param="n", start=math.inf, stop=math.inf, steps=1)
 
     def test_invalid_param(self):
         with pytest.raises(ValueError, match="sweep.param"):

@@ -63,6 +63,28 @@ class TestProtocolParams:
         p = make_params(d0=0.0, delta=0.05)
         assert p.delta == 0.05
 
+    @pytest.mark.parametrize(
+        "field", ["r", "tau", "gamma_r", "gamma_e", "alpha", "d0", "es", "n0", "delta"]
+    )
+    def test_nan_rejected_everywhere(self, field):
+        with pytest.raises(ValueError, match=field):
+            make_params(**{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["gamma_r", "gamma_e", "alpha", "d0", "es", "n0", "delta"])
+    def test_infinity_rejected_where_undefined(self, field):
+        with pytest.raises(ValueError, match=field):
+            make_params(**{field: math.inf})
+        with pytest.raises(ValueError):
+            make_params(**{field: -math.inf})
+
+    def test_unbounded_radius_and_threshold_accepted(self):
+        p = make_params(r=math.inf, tau=math.inf)
+        assert math.isinf(p.r) and math.isinf(p.tau)
+        with pytest.raises(ValueError):
+            make_params(r=-math.inf)
+        with pytest.raises(ValueError):
+            make_params(tau=-math.inf)
+
 
 class TestPathLoss:
     def test_unit_distance(self):

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twohopsec.bounds_equal import (
     transmission_bound_equal,
@@ -9,6 +12,8 @@ from twohopsec.bounds_equal import (
 )
 from twohopsec.model import Case, ConfigurationError, ProtocolParams
 from twohopsec.montecarlo import (
+    BATCH_SIZE,
+    _count_below,
     compare,
     estimate,
     load_balance,
@@ -39,12 +44,18 @@ class TestWilson:
 
     def test_zero_successes_positive_width(self):
         lo, hi = wilson_interval(0, 1000)
-        assert lo == pytest.approx(0.0, abs=1e-15)
+        assert lo == 0.0
         assert 0 < hi < 0.01
 
     def test_all_successes(self):
         lo, hi = wilson_interval(1000, 1000)
         assert hi == 1.0 and 0.99 < lo < 1.0
+
+    @pytest.mark.parametrize("trials", [1, 7, 100, 1000, 4096, 100_000])
+    def test_endpoints_exact(self, trials):
+        # the formula alone gives e.g. 2.2e-19 and 0.9999999999999999 here
+        assert wilson_interval(0, trials)[0] == 0.0
+        assert wilson_interval(trials, trials)[1] == 1.0
 
     def test_against_direct_formula(self):
         z = 1.959963984540054
@@ -153,6 +164,80 @@ class TestEstimate:
         se = (rep.ci_t[1] - rep.ci_t[0]) / (2 * 1.959963984540054)
         assert rep.p_t_hat > bound + 3 * se  # the documented violation
         assert rep.p_t_hat <= traced + 3 * se
+
+
+class TestThresholdGrid:
+    """A gamma_r / gamma_e grid is evaluated on one set of trials (common
+    random numbers); each grid report must equal a separate run at its value."""
+
+    @staticmethod
+    def _same(a, b):
+        assert a.params == b.params
+        assert (a.p_t_hat, a.p_s_hat, a.ci_t, a.ci_s) == (b.p_t_hat, b.p_s_hat, b.ci_t, b.ci_s)
+        assert np.array_equal(a.selection_histogram, b.selection_histogram)
+        assert (a.no_candidate_rate, a.conditional_jain, a.conditional_entropy) == (
+            b.no_candidate_rate, b.conditional_jain, b.conditional_entropy)
+
+    @pytest.mark.parametrize("maker", [equal_params, general_params])
+    @pytest.mark.parametrize("name", ["gamma_r", "gamma_e"])
+    def test_grid_matches_separate_runs(self, maker, name):
+        params = maker(n=6, m=3, k=2, tau=0.4, r=0.35)
+        values = [0.05, 0.3, 1.0, 1.0, 2.5, 40.0]
+        # 3 batches, the last one partial
+        reports = estimate(params, 1234, seed=19, batch_size=500, **{name: values})
+        assert len(reports) == len(values)
+        for value, rep in zip(values, reports):
+            single = dataclasses.replace(params, **{name: value})
+            self._same(rep, estimate(single, 1234, seed=19, batch_size=500))
+
+    def test_grid_ignores_the_swept_field_of_params(self):
+        params = general_params(n=6, m=3)
+        a = estimate(params, 900, seed=2, gamma_e=[0.7])[0]
+        b = estimate(dataclasses.replace(params, gamma_e=5.0), 900, seed=2, gamma_e=[0.7])[0]
+        self._same(a, b)
+
+    def test_no_relays_grid(self):
+        reports = estimate(equal_params(n=0, k=0, m=0), 300, seed=0, gamma_r=[0.5, 2.0])
+        assert [r.p_t_hat for r in reports] == [1.0, 1.0]
+        assert [r.p_s_hat for r in reports] == [0.0, 0.0]
+
+    def test_one_threshold_at_a_time(self):
+        with pytest.raises(ValueError):
+            estimate(equal_params(), 100, seed=0, gamma_r=[1.0], gamma_e=[1.0])
+
+    def test_invalid_grid_value_rejected(self):
+        with pytest.raises(ValueError):
+            estimate(equal_params(), 100, seed=0, gamma_e=[1.0, 0.0])
+        with pytest.raises(ValueError):
+            estimate(equal_params(), 100, seed=0, gamma_r=[math.nan])
+
+    def test_empty_grid(self):
+        assert estimate(equal_params(), 100, seed=0, gamma_r=[]) == []
+
+    def test_counting_ties_match_the_pointwise_comparisons(self):
+        # outage is bottleneck < gamma_r and eavesdropper SINR >= gamma_e, so
+        # a value equal to a threshold counts as below-not for the first and
+        # reaching for the second
+        values = np.array([3.0, 1.0, 2.0, np.inf, 2.0, -np.inf])
+        grid = np.array([-np.inf, 1.0, 2.0, 2.5, 3.0, np.inf])
+        expected = [int(np.sum(values < g)) for g in grid]
+        assert _count_below(values, grid).tolist() == expected
+
+
+_thresholds = st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(gamma_r=_thresholds, gamma_e=_thresholds, seed=st.integers(0, 2**16),
+       general=st.booleans())
+def test_fixed_seed_outage_curves_are_monotone(gamma_r, gamma_e, seed, general):
+    params = (general_params if general else equal_params)(n=5, m=3, k=2, tau=0.5)
+    trials = BATCH_SIZE + 17
+    gamma_r, gamma_e = sorted(gamma_r), sorted(gamma_e)
+    p_t = [rep.p_t_hat for rep in estimate(params, trials, seed, gamma_r=gamma_r)]
+    p_s = [rep.p_s_hat for rep in estimate(params, trials, seed, gamma_e=gamma_e)]
+    assert all(a <= b for a, b in zip(p_t, p_t[1:]))
+    assert all(a >= b for a, b in zip(p_s, p_s[1:]))
 
 
 class TestEngineAgainstExactLaw:

@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .orderstats import topk_random_cdf
+import numpy as np
+
+from .orderstats import _binom_pmf, topk_random_cdf
 
 __all__ = [
     "SaturatingBound",
@@ -73,6 +75,17 @@ def _secrecy_budget(eps_s: float) -> float:
     return 1.0 - math.sqrt(1.0 - eps_s)
 
 
+def _interference_level(n: int, gamma_r: float, tau: float) -> float:
+    """gamma_r * E[#jammers] * tau, the gain level a hop must beat.
+
+    A lone relay has no one to jam it, also at tau = inf where the product
+    would be 0 * inf.
+    """
+    if n == 1:
+        return 0.0
+    return gamma_r * (n - 1) * (-math.expm1(-tau)) * tau
+
+
 def channel_survival(n: int, gamma_r: float, tau: float) -> float:
     """Survival of one bottleneck channel against expected jamming.
 
@@ -84,21 +97,20 @@ def channel_survival(n: int, gamma_r: float, tau: float) -> float:
         raise ValueError("n must be at least 1")
     if tau < 0 or gamma_r <= 0:
         raise ValueError("tau must be nonnegative and gamma_r positive")
-    return math.exp(-2.0 * gamma_r * (n - 1) * (-math.expm1(-tau)) * tau)
-
-
-def _interference_level(n: int, gamma_r: float, tau: float) -> float:
-    """gamma_r * E[#jammers] * tau, the gain level a hop must beat."""
-    return gamma_r * (n - 1) * (-math.expm1(-tau)) * tau
+    return math.exp(-2.0 * _interference_level(n, gamma_r, tau))
 
 
 def transmission_bound_equal(n: int, k: int, gamma_r: float, tau: float) -> float:
     """Upper bound on the end-to-end transmission outage probability.
 
     2Q - Q^2 where Q is the per-hop failure bound: the top-k selection CDF
-    evaluated at the expected-interference level.
+    evaluated at the expected-interference level.  An infinite level (tau ->
+    inf with other relays present) is the limit Q = 1.
     """
-    q = float(topk_random_cdf(_interference_level(n, gamma_r, tau), k, n))
+    level = _interference_level(n, gamma_r, tau)
+    if math.isinf(level):
+        return 1.0
+    q = float(topk_random_cdf(level, k, n))
     return 2.0 * q - q * q
 
 
@@ -204,13 +216,12 @@ def transmission_bound_equal_binomial_jammers(
     instead of substituting its expectation.  Useful for tracing
     simulation-vs-bound violations to that substitution.
     """
-    p = -math.expm1(-tau)
-    q_tilde = 0.0
-    for j in range(n):
-        w = math.comb(n - 1, j) * p**j * (1.0 - p) ** (n - 1 - j)
-        if w == 0.0:
-            continue
-        q_tilde += w * float(topk_random_cdf(gamma_r * j * tau, k, n))
+    if tau == 0.0 or math.isinf(tau):
+        # the jammer count is certain (0 or n - 1), so its mean is exact
+        return transmission_bound_equal(n, k, gamma_r, tau)
+    j = np.arange(n)
+    w = _binom_pmf(n - 1, j, math.log(-math.expm1(-tau)), -tau)
+    q_tilde = float(np.dot(w, topk_random_cdf(gamma_r * j * tau, k, n)))
     return 2.0 * q_tilde - q_tilde * q_tilde
 
 

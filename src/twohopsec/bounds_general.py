@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds_equal import EavesTolerance, SaturatingBound, _check_eps, _secrecy_budget
+from .orderstats import _binom_pmf
 
 __all__ = [
     "QuadratureError",
@@ -214,9 +215,13 @@ def _region_probability(n: int, k: int, r: float, p_region) -> float:
 
 
 def _binom_sums(n: int, k: int, p: float):
-    """(sum_{l=1}^{k}, sum_{l=k+1}^{n}) of Binomial(n, p) masses."""
-    pmf = [math.comb(n, l) * p**l * (1.0 - p) ** (n - l) for l in range(n + 1)]
-    return math.fsum(pmf[1 : k + 1]), math.fsum(pmf[k + 1 :])
+    """(P(1 <= L <= k), P(L > k)) for L ~ Binomial(n, p), 1 <= k <= n."""
+    if p == 0.0:
+        return 0.0, 0.0
+    if p == 1.0:
+        return (1.0, 0.0) if k == n else (0.0, 1.0)
+    pmf = _binom_pmf(n, np.arange(n + 1), math.log(p), math.log1p(-p))
+    return float(pmf[1 : k + 1].sum()), float(pmf[k + 1 :].sum())
 
 
 def nu_coeffs(n: int, k: int, r: float, p_region=None):

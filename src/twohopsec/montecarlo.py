@@ -14,6 +14,10 @@ source->relays, gains destination->relays, the relay-selection uniform,
 gains relays->selected relay, gains source->eavesdroppers, gains
 relays->eavesdroppers.
 
+Distances are handled squared, so no square root is taken: the region test
+is x^2 + y^2 <= r^2, capture is d^2 < d0^2, and path loss is
+max(d^2, delta^2)^(-alpha/2).
+
 Neither SINR threshold enters a draw, the relay selection or the jammer
 sets, so each trial is reduced to two statistics: the legitimate bottleneck
 SINR ``min(hop-1 SINR, hop-2 SINR)`` and the strongest eavesdropper SINR,
@@ -164,12 +168,16 @@ def _run_batch(task) -> tuple:
     alpha, delta, es, n0 = params.alpha, params.delta, params.es, params.n0
     idx = np.arange(size)
 
-    def pl(d):
-        return np.maximum(d, delta) ** (-alpha)
+    def pl(d2, out=None):
+        """Path loss max(d, delta)^-alpha from squared distances, in place when ``out`` is given."""
+        clamped = np.maximum(d2, delta * delta, out=out)
+        return np.power(clamped, -0.5 * alpha, out=clamped)
 
     if general:
         rel = rng.uniform(-0.5, 0.5, size=(size, n, 2))
         eav = rng.uniform(-0.5, 0.5, size=(size, m, 2)) if m else None
+        # contiguous copies of the coordinate planes, read many times below
+        rx, ry = rel[..., 0].copy(), rel[..., 1].copy()
     g_sr = rng.standard_exponential((size, n))
     g_dr = rng.standard_exponential((size, n))
     pick_u = rng.random(size)
@@ -181,7 +189,7 @@ def _run_batch(task) -> tuple:
     # Candidate selection: best bottleneck gains inside the region.
     w = np.minimum(g_sr, g_dr)
     if general:
-        in_region = np.hypot(rel[:, :, 0], rel[:, :, 1]) <= params.r
+        in_region = rx * rx + ry * ry <= params.r * params.r
         region_count = in_region.sum(axis=1)
         w_eff = np.where(in_region, w, -np.inf)
     else:
@@ -201,12 +209,10 @@ def _run_batch(task) -> tuple:
     mask2[idx, jstar] = False
 
     if general:
-        star_pos = rel[idx, jstar]
-        d_rr = np.hypot(rel[:, :, 0] - star_pos[:, None, 0], rel[:, :, 1] - star_pos[:, None, 1])
-        d_rd = np.hypot(rel[:, :, 0] - 0.5, rel[:, :, 1])
-        d_sr = np.hypot(star_pos[:, 0] + 0.5, star_pos[:, 1])
-        pl_rr, pl_rd = pl(d_rr), pl(d_rd)
-        sig1 = es * g_sr[idx, jstar] * pl(d_sr)
+        sx, sy = rx[idx, jstar], ry[idx, jstar]
+        pl_rr = pl((rx - sx[:, None]) ** 2 + (ry - sy[:, None]) ** 2)
+        pl_rd = pl((rx - 0.5) ** 2 + ry * ry)
+        sig1 = es * g_sr[idx, jstar] * pl((sx + 0.5) ** 2 + sy * sy)
         sig2 = es * g_dr[idx, jstar] * pl_rd[idx, jstar]
     else:
         pl_unit = max(1.0, delta) ** (-alpha)
@@ -217,31 +223,41 @@ def _run_batch(task) -> tuple:
     noise = n0 / 2.0
     intf1 = es * np.sum(mask1 * g_rr * pl_rr, axis=1)
     intf2 = es * np.sum(mask2 * g_dr * pl_rd, axis=1)
-    bottleneck = np.minimum(sig1 / (intf1 + noise), sig2 / (intf2 + noise))
+    # With a subnormal noise level and no jammer the quotient overflows to
+    # +inf, which is the right SINR.
+    with np.errstate(over="ignore"):
+        bottleneck = np.minimum(sig1 / (intf1 + noise), sig2 / (intf2 + noise))
 
     if m:
         if general:
-            d_se = np.hypot(eav[:, :, 0] + 0.5, eav[:, :, 1])
-            d_re = np.hypot(
-                rel[:, :, None, 0] - eav[:, None, :, 0],
-                rel[:, :, None, 1] - eav[:, None, :, 1],
-            )
-            pl_re = pl(d_re)
-            sig_e1 = es * g_se * pl(d_se)
-            sig_e2 = es * g_re[idx, jstar, :] * pl_re[idx, jstar, :]
+            ex, ey = eav[..., 0].copy(), eav[..., 1].copy()
+            d2_se = (ex + 0.5) ** 2 + ey * ey
+            # squared relay->eavesdropper distances, built in place
+            d2_re = rx[:, :, None] - ex[:, None, :]
+            np.square(d2_re, out=d2_re)
+            dy = ry[:, :, None] - ey[:, None, :]
+            d2_re += np.square(dy, out=dy)
+            del dy
+            d0_sq = params.d0 * params.d0
+            captured1 = d2_se < d0_sq
+            captured2 = d2_re[idx, jstar, :] < d0_sq
+            weighted = pl(d2_re, out=d2_re)
+            sig_e1 = es * g_se * pl(d2_se)
+            sig_e2 = es * g_re[idx, jstar, :] * weighted[idx, jstar, :]
+            weighted *= g_re
         else:
-            pl_re = pl_unit
             sig_e1 = es * g_se * pl_unit
             sig_e2 = es * g_re[idx, jstar, :] * pl_unit
-        weighted = g_re * pl_re
+            weighted = g_re * pl_unit
         intf_e1 = es * np.einsum("bn,bnm->bm", mask1.astype(float), weighted)
         intf_e2 = es * np.einsum("bn,bnm->bm", mask2.astype(float), weighted)
         # SINRs overwrite the signal arrays: no extra (batch, m) arrays at the peak
-        sinr_e1 = np.divide(sig_e1, intf_e1 + noise, out=sig_e1)
-        sinr_e2 = np.divide(sig_e2, intf_e2 + noise, out=sig_e2)
+        with np.errstate(over="ignore"):
+            sinr_e1 = np.divide(sig_e1, intf_e1 + noise, out=sig_e1)
+            sinr_e2 = np.divide(sig_e2, intf_e2 + noise, out=sig_e2)
         if general:
-            sinr_e1[d_se < params.d0] = np.inf
-            sinr_e2[d_re[idx, jstar, :] < params.d0] = np.inf
+            sinr_e1[captured1] = np.inf
+            sinr_e2[captured2] = np.inf
         eav_max = np.maximum(sinr_e1, sinr_e2, out=sinr_e1).max(axis=1)
     else:
         eav_max = np.full(size, -np.inf)

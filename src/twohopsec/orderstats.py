@@ -72,6 +72,18 @@ def min_pair_pdf(x):
     return _maybe_scalar(out, np.isscalar(x))
 
 
+def _binom_pmf(n: int, l: np.ndarray, log_p, log_q) -> np.ndarray:
+    """Binomial(n, p) masses at the counts ``l``, from log p and log(1 - p).
+
+    Each mass is exp(log C(n, l) + l log p + (n - l) log(1 - p)) with the
+    coefficient from ``gammaln``, so no factor overflows at any n.  ``l``
+    broadcasts against ``log_p`` and ``log_q``.  A count of 0 at p = 0, or
+    of n at p = 1, would form 0 * -inf: callers settle those p themselves.
+    """
+    log_c = gammaln(n + 1) - gammaln(l + 1) - gammaln(n - l + 1)
+    return np.exp(log_c + l * log_p + (n - l) * log_q)
+
+
 def _binom_tail(x: np.ndarray, lo: int, n: int) -> np.ndarray:
     """P(Binomial(n, 1 - e^{-2x}) >= lo) with log-space terms.
 
@@ -84,15 +96,8 @@ def _binom_tail(x: np.ndarray, lo: int, n: int) -> np.ndarray:
         return np.zeros_like(x)
     with np.errstate(divide="ignore"):
         log_p = np.log(-np.expm1(-2.0 * x))  # -inf at x = 0 is fine: exp -> 0
-    i = np.arange(lo, n + 1)
-    log_c = gammaln(n + 1) - gammaln(i + 1) - gammaln(n - i + 1)
-    shape = (i.size,) + (1,) * x.ndim
-    log_terms = (
-        log_c.reshape(shape)
-        + i.reshape(shape) * log_p[np.newaxis, ...]
-        + (n - i).reshape(shape) * (-2.0 * x)[np.newaxis, ...]
-    )
-    return np.add.reduce(np.exp(log_terms), axis=0)
+    i = np.arange(lo, n + 1).reshape((-1,) + (1,) * x.ndim)
+    return np.add.reduce(_binom_pmf(n, i, log_p, -2.0 * x), axis=0)
 
 
 def kth_largest_cdf(x, j: int, n: int):

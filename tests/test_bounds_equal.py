@@ -260,3 +260,24 @@ class TestBinomialJammerDiagnostics:
         assert secrecy_bound_equal_binomial_jammers(5, 1, 1.0, 0.0).value == pytest.approx(
             secrecy_bound_equal(5, 1, 1.0, 0.0).value
         )
+
+    def test_no_overflow_past_a_thousand_relays(self):
+        assert 0.0 <= transmission_bound_equal_binomial_jammers(1500, 3, 1.0, 0.2) <= 1.0
+
+
+class TestInfiniteTau:
+    def test_transmission_takes_the_limit(self):
+        assert transmission_bound_equal(5, 2, 1.0, math.inf) == 1.0
+
+    def test_secrecy_counts_every_other_relay_as_jammer(self):
+        x = 2 * (1 / (1 + 1.5)) ** 4
+        assert secrecy_bound_equal(5, 2, 1.5, math.inf).value == pytest.approx(2 * x - x * x)
+
+    def test_binomial_jammer_variant_has_the_same_limit(self):
+        assert transmission_bound_equal_binomial_jammers(5, 2, 1.0, math.inf) == 1.0
+        assert transmission_bound_equal_binomial_jammers(1, 1, 1.0, math.inf) == 0.0
+
+    def test_single_relay_has_no_jammers(self):
+        assert transmission_bound_equal(1, 1, 1.0, math.inf) == 0.0
+        assert secrecy_bound_equal(1, 1, 1.0, math.inf).value == 1.0
+        assert channel_survival(1, 1.0, math.inf) == 1.0

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from twohopsec.bounds_general import (
     GeometryIntegrals,
+    _binom_sums,
     QuadratureError,
     channel_survival_base,
     disc_square_overlap,
@@ -133,6 +135,50 @@ class TestNuCoeffs:
             nu_coeffs(4, 2, 0.7)
         nu1, nu2 = nu_coeffs(4, 2, 0.7, p_region=disc_square_overlap(0.7))
         assert nu1 > 0
+
+
+def exact_binom_sums(n, ks, p):
+    """{k: (P(1 <= L <= k), P(L > k))} in exact arithmetic.
+
+    A float p is a dyadic rational a/d, so each mass is an integer over d^n.
+    """
+    a, d = p.as_integer_ratio()
+    pa, pb = [1], [1]
+    for _ in range(n):
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * (d - a))
+    cum = [0]
+    for l in range(n + 1):
+        cum.append(cum[-1] + math.comb(n, l) * pa[l] * pb[n - l])
+    total = d**n
+    return {k: (float(Fraction(cum[k + 1] - cum[1], total)),
+                float(Fraction(cum[n + 1] - cum[k + 1], total)))
+            for k in ks}
+
+
+class TestBinomSums:
+    # log C(n, l) is a difference of gammaln values as large as log(1000!) =
+    # 5912, whose float spacing is 9.1e-13: the worst error measured on this
+    # grid is 1.1e-12 relative, at n = 1000.
+    REL = 2e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 293, 1000])
+    @pytest.mark.parametrize("p", [0.0, 2.0**-20, math.pi * 0.01, math.pi * 0.09, 0.5,
+                                   1 - 2.0**-10, 1.0])
+    def test_matches_exact_arithmetic(self, n, p):
+        ks = sorted({1, 2, 3, 5, n // 2, n - 1, n} & set(range(1, n + 1)))
+        for k, want in exact_binom_sums(n, ks, p).items():
+            assert _binom_sums(n, k, p) == pytest.approx(want, rel=self.REL, abs=0.0), k
+
+    def test_degenerate_probabilities_are_exact(self):
+        assert _binom_sums(9, 3, 0.0) == (0.0, 0.0)
+        assert _binom_sums(9, 3, 1.0) == (0.0, 1.0)
+        assert _binom_sums(9, 9, 1.0) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("n", [1031, 1500, 10_000])
+    def test_no_overflow_past_a_thousand_relays(self, n):
+        s1, s2 = _binom_sums(n, 3, math.pi * 0.09)
+        assert 0.0 <= s1 <= 1.0 and s2 == pytest.approx(1.0, rel=1e-9)
 
 
 def mp_transmission_general(n, k, p, gamma_r, tau, r, alpha, phi):

@@ -271,6 +271,68 @@ class TestNonFiniteInput:
         assert rows[0]["r"] == "inf" and rows[0]["tau"] == "inf"
 
 
+class TestGoldenCounts:
+    """Outage cells of three fixed-seed runs, pinned so that any change to the
+    geometry, the draws or the comparisons of the engine shows up here."""
+
+    RUNS = {
+        "criterion-8 gamma_e sweep": (
+            ["sweep", "--case", "general", "--n", "20", "--m", "10", "--k", "3", "--r", "0.4",
+             "--tau", "0.5", "--sweep-param", "gamma_e", "--sweep-from", "0.25",
+             "--sweep-to", "4", "--sweep-steps", "16", "--sweep-scale", "log",
+             "--trials", "4096", "--seed", "12", "--no-bounds"],
+            [("0.97900390625", p_s) for p_s in (
+                "0.967529296875", "0.946533203125", "0.9208984375", "0.887939453125",
+                "0.84619140625", "0.7978515625", "0.740966796875", "0.686767578125",
+                "0.628662109375", "0.57421875", "0.512939453125", "0.45947265625",
+                "0.404296875", "0.35791015625", "0.314208984375", "0.281494140625")],
+        ),
+        "general n=100 m=50": (
+            ["simulate", "--case", "general", "--n", "100", "--m", "50", "--k", "3",
+             "--r", "0.3", "--tau", "0.1", "--gamma-r", "0.3", "--gamma-e", "2.0",
+             "--alpha", "3.5", "--trials", "1500", "--seed", "5"],
+            [("0.6466666666666666", "0.952")],
+        ),
+        "equal": (
+            ["simulate", "--case", "equal", "--n", "6", "--m", "3", "--k", "2", "--tau", "0.3",
+             "--trials", "10000", "--seed", "9"],
+            [("0.055", "0.8295")],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_outage_cells(self, tmp_path, name):
+        argv, cells = self.RUNS[name]
+        out = tmp_path / "golden.csv"
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [(r["p_t_hat"], r["p_s_hat"]) for r in rows] == cells
+
+
+class TestLargeAndLimitInputs:
+    def test_general_bounds_past_a_thousand_relays(self, tmp_path):
+        out = tmp_path / "big.csv"
+        assert run_cli(["bounds", "--case", "general", "--n", "1500", "--m", "10", "--k", "3",
+                        "--r", "0.3", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert 0.0 <= float(rows[0]["bound_t"]) <= 1.0
+
+    def test_equal_bounds_take_the_infinite_tau_limit(self, tmp_path):
+        out = tmp_path / "inf.csv"
+        assert run_cli(["bounds", "--case", "equal", "--n", "5", "--m", "2", "--tau", "inf",
+                        "--gamma-e", "1.5", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        x = 2 * (1 / (1 + 1.5)) ** 4  # all n - 1 = 4 other relays jam
+        assert float(rows[0]["bound_t"]) == 1.0
+        assert float(rows[0]["bound_s"]) == pytest.approx(2 * x - x * x)
+
+    @pytest.mark.parametrize("case", [["--case", "equal"], ["--case", "general", "--r", "0.4"]])
+    def test_subnormal_noise_prints_no_warning(self, case, capsys):
+        assert run_cli(["simulate", *case, "--n0", "1e-320", "--tau", "0.01", "--n", "20",
+                        "--m", "10", "--k", "3", "--trials", "2000"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_memory_error_is_numeric_failure(monkeypatch, capsys):
     def out_of_memory(*args, **kwargs):
         raise MemoryError

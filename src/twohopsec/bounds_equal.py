@@ -200,7 +200,10 @@ def max_eaves_equal(
     if bracket <= 0.0:
         return EavesTolerance(bound=math.inf, count=None)
     exponent = math.sqrt(-(n - 1) * math.log(bracket) / (2.0 * gamma_r))
-    bound = y * (1.0 + gamma_e) ** exponent
+    try:
+        bound = y * (1.0 + gamma_e) ** exponent
+    except OverflowError:  # float ** raises past the float range instead of giving inf
+        bound = math.inf
     if math.isinf(bound):
         return EavesTolerance(bound=bound, count=None)
     return EavesTolerance(bound=bound, count=int(math.floor(bound)))

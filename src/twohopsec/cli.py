@@ -1,4 +1,4 @@
-"""Command-line front end: bounds, tau-range, max-eaves, simulate, sweep.
+"""Command-line front end: bounds (alias tau-range, max-eaves), simulate, sweep.
 
 Configuration comes from a YAML file of key-value pairs (``--config``) with
 individual flags overriding file values.  Every command can emit one CSV
@@ -6,7 +6,8 @@ row per evaluated scenario under a fixed 28-column schema; missing
 quantities are empty cells, never dropped columns, and infinite radii are
 written as the literal string ``inf``.  The first CSV line echoes the
 resolved configuration as a JSON comment so a result file reparses into the
-exact run that produced it.
+exact run that produced it.  The argument parser is built once per process
+and reused by every ``main`` call.
 
 Exit codes: 0 success (including infeasible-but-computed results),
 2 malformed configuration, 3 numeric failure (including out of memory).
@@ -16,13 +17,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .bounds_general import QuadratureError, disc_square_overlap
 from .model import Case, ProtocolParams
@@ -239,6 +240,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, YAML file values, and explicit CLI flags (in that order)."""
     data: dict = {}
     if args.config:
+        import yaml  # only here: importing it costs set-up time on every run without --config
+
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = yaml.safe_load(fh)
         if loaded is None:
@@ -522,7 +525,9 @@ def cmd_sweep(config: RunConfig, want_report: bool, with_bounds: bool,
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use; each ``parse_args`` returns a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML configuration file")
     common.add_argument("--case", choices=["equal", "general"])
@@ -546,11 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bounds and Monte Carlo simulation for a secure two-hop relay protocol",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("bounds", parents=[common], help="evaluate all closed-form bounds")
-    sub.add_parser("tau-range", parents=[common],
-                   help="admissible jamming-threshold window for the outage targets")
-    sub.add_parser("max-eaves", parents=[common],
-                   help="tolerable eavesdropper count for the outage targets")
+    sub.add_parser("bounds", aliases=["tau-range", "max-eaves"], parents=[common],
+                   help="evaluate all closed-form bounds, the tau window and the "
+                        "tolerable eavesdropper count")
     sub.add_parser("simulate", parents=[common], help="Monte Carlo outage estimation")
     sweep = sub.add_parser("sweep", parents=[common], help="evaluate a parameter grid")
     sweep.add_argument("--sweep-param", choices=list(_SWEEPABLE))
@@ -564,8 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
         if args.command in ("bounds", "tau-range", "max-eaves"):

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,6 +321,9 @@ def estimate(
         for b in range(n_batches)
     ]
     if workers > 1 and n_batches > 1:
+        # only here: importing it costs set-up time on every single-process run
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_batch, tasks))
     else:

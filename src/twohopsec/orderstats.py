@@ -9,8 +9,8 @@ drives the relay-selection analysis), plus brute-force sampling oracles so
 the closed forms can be cross-checked empirically.
 
 All CDF/PDF evaluators broadcast over ``x`` and accept scalars or arrays.
-Binomial coefficients are taken in log space so the rank sums stay finite
-for relay counts up to the thousands.
+Binomial coefficients are taken in log space, from a table of log l!, so
+the rank sums stay finite for relay counts up to the thousands.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "GainKind",
@@ -72,15 +71,38 @@ def min_pair_pdf(x):
     return _maybe_scalar(out, np.isscalar(x))
 
 
+# log l! at index l, each entry math.lgamma(l + 1); _log_factorials grows it
+# by doubling.  An entry depends on its index only, never on the call history.
+_log_factorial_table = np.zeros(1)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """The table of log l!, grown first if it does not reach l = n."""
+    global _log_factorial_table
+    size = len(_log_factorial_table)
+    if n >= size:
+        new_size = size
+        while new_size <= n:
+            new_size *= 2
+        grown = np.empty(new_size)
+        grown[:size] = _log_factorial_table
+        grown[size:] = [math.lgamma(l + 1) for l in range(size, new_size)]
+        _log_factorial_table = grown
+    return _log_factorial_table
+
+
 def _binom_pmf(n: int, l: np.ndarray, log_p, log_q) -> np.ndarray:
-    """Binomial(n, p) masses at the counts ``l``, from log p and log(1 - p).
+    """Binomial(n, p) masses at the integer counts ``l``, from log p and log(1 - p).
 
     Each mass is exp(log C(n, l) + l log p + (n - l) log(1 - p)) with the
-    coefficient from ``gammaln``, so no factor overflows at any n.  ``l``
-    broadcasts against ``log_p`` and ``log_q``.  A count of 0 at p = 0, or
-    of n at p = 1, would form 0 * -inf: callers settle those p themselves.
+    coefficient from the log-factorial table, so no factor overflows at any
+    n.  The table is indexed with l and n - l directly, so every count must
+    satisfy 0 <= l <= n.  ``l`` broadcasts against ``log_p`` and ``log_q``.
+    A count of 0 at p = 0, or of n at p = 1, would form 0 * -inf: callers
+    settle those p themselves.
     """
-    log_c = gammaln(n + 1) - gammaln(l + 1) - gammaln(n - l + 1)
+    log_fact = _log_factorials(n)
+    log_c = log_fact[n] - log_fact[l] - log_fact[n - l]
     return np.exp(log_c + l * log_p + (n - l) * log_q)
 
 
@@ -120,7 +142,7 @@ def kth_largest_pdf(x, j: int, n: int):
     """
     _validate_rank(j, n, "j")
     arr = _validate_x(x)
-    log_coeff = gammaln(n + 1) - gammaln(j) - gammaln(n - j + 1)
+    log_coeff = math.lgamma(n + 1) - math.lgamma(j) - math.lgamma(n - j + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(-np.expm1(-2.0 * arr))
         log_pdf = log_coeff + (n - j) * log_p + (j - 1) * (-2.0 * arr) + math.log(2.0) - 2.0 * arr

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -326,11 +329,81 @@ class TestLargeAndLimitInputs:
         assert float(rows[0]["bound_t"]) == 1.0
         assert float(rows[0]["bound_s"]) == pytest.approx(2 * x - x * x)
 
+    def test_equal_tolerance_past_the_float_range_is_unbounded(self, tmp_path):
+        # (1 + gamma_e) ** exponent passes the largest float here
+        out = tmp_path / "tol.csv"
+        assert run_cli(["bounds", "--case", "equal", "--n", "572", "--m", "1", "--k", "1",
+                        "--gamma-r", "0.001", "--gamma-e", "59", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert rows[0]["max_m"] == "inf"
+
     @pytest.mark.parametrize("case", [["--case", "equal"], ["--case", "general", "--r", "0.4"]])
     def test_subnormal_noise_prints_no_warning(self, case, capsys):
         assert run_cli(["simulate", *case, "--n0", "1e-320", "--tau", "0.01", "--n", "20",
                         "--m", "10", "--k", "3", "--trials", "2000"]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestBoundsAliases:
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--report"],
+        ["--case", "general", "--n", "40", "--m", "5", "--k", "2", "--r", "0.3"],
+    ])
+    def test_same_stdout_as_bounds(self, flags, capsys):
+        outputs = []
+        for command in ("bounds", "tau-range", "max-eaves"):
+            assert run_cli([command, *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+class TestParserReuse:
+    CALLS = [
+        ["sweep", "--sweep-param", "gamma_e", "--sweep-from", "0.5", "--sweep-to", "2",
+         "--sweep-steps", "3", "--trials", "300", "--no-bounds", "--report"],
+        ["bounds", "--case", "general", "--r", "0.4", "--exact-region"],
+        ["bounds", "--case", "general", "--r", "0.4"],
+        ["simulate", "--trials", "300"],
+    ]
+
+    def test_no_flag_carries_to_the_next_call(self, capsys):
+        reused = []
+        for argv in self.CALLS:
+            assert run_cli(argv) == 0
+            reused.append(capsys.readouterr().out)
+        for argv, out in zip(self.CALLS, reused):
+            cli.build_parser.cache_clear()
+            assert run_cli(argv) == 0
+            assert capsys.readouterr().out == out
+        assert reused[1] != reused[2]  # --exact-region changes the general bounds
+
+
+class TestSetupImports:
+    """What a run imports, seen from a fresh interpreter."""
+
+    def loaded(self, argvs):
+        script = (
+            "import contextlib, io, sys\n"
+            "from twohopsec import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
+            "assert codes == [0] * len(codes), codes\n"
+            "print(' '.join(m for m in ('scipy', 'yaml', 'concurrent.futures.process')"
+            " if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        return proc.stdout.split()
+
+    def test_bounds_and_simulate_load_no_optional_module(self):
+        assert self.loaded([["bounds"], ["simulate", "--trials", "200"]]) == []
+
+    def test_config_run_loads_yaml(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("n: 6\n")
+        assert self.loaded([["bounds", "--config", str(cfg)]]) == ["yaml"]
 
 
 def test_memory_error_is_numeric_failure(monkeypatch, capsys):

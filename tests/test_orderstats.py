@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln
 from scipy.stats import kstest
 
+from twohopsec import orderstats
 from twohopsec.orderstats import (
     GainDistribution,
     GainKind,
@@ -236,3 +238,21 @@ class TestGainDistribution:
         assert d.pdf(0.3) == pytest.approx(topk_random_pdf(0.3, 2, 5))
         draws = d.sample(np.random.default_rng(5), size=10)
         assert draws.shape == (10,)
+
+
+class TestLogFactorialTable:
+    def test_matches_gammaln(self):
+        l = np.arange(10_001)
+        # each lies up to 3 ulp from the true log l! (mpmath), on either side
+        np.testing.assert_array_max_ulp(orderstats._log_factorials(10_000)[l],
+                                        gammaln(l + 1.0), maxulp=4)
+
+    def test_values_do_not_depend_on_the_order_of_growth(self, monkeypatch):
+        monkeypatch.setattr(orderstats, "_log_factorial_table", np.zeros(1))
+        large_first = orderstats._log_factorials(5000).copy()
+        monkeypatch.setattr(orderstats, "_log_factorial_table", np.zeros(1))
+        orderstats._log_factorials(3)
+        small_first = orderstats._log_factorials(5000)
+        n = min(len(large_first), len(small_first))
+        assert n > 5000
+        np.testing.assert_array_equal(small_first[:n], large_first[:n])

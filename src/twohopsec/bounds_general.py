@@ -27,6 +27,7 @@ __all__ = [
     "geometry_integrals",
     "disc_square_overlap",
     "channel_survival_base",
+    "region_sums",
     "nu_coeffs",
     "transmission_bound_general",
     "transmission_bound_general_tight",
@@ -224,10 +225,19 @@ def _binom_sums(n: int, k: int, p: float):
     return float(pmf[1 : k + 1].sum()), float(pmf[k + 1 :].sum())
 
 
-def nu_coeffs(n: int, k: int, r: float, p_region=None):
+def region_sums(n: int, k: int, r: float, p_region=None):
+    """(P(1 <= L <= k), P(L > k)) for the in-region relay count L.
+
+    ``transmission_bound_general``, ``tau_max_general`` and
+    ``max_eaves_general`` each take these as ``sums``, so one evaluation of
+    all three pays for the binomial masses once.
+    """
+    return _binom_sums(n, k, _region_probability(n, k, r, p_region))
+
+
+def nu_coeffs(n: int, k: int, r: float, p_region=None, sums=None):
     """k^2-scaled binomial masses of the in-region relay count, split at k."""
-    p = _region_probability(n, k, r, p_region)
-    s1, s2 = _binom_sums(n, k, p)
+    s1, s2 = region_sums(n, k, r, p_region) if sums is None else sums
     return k * k * s1, k * k * s2
 
 
@@ -242,15 +252,16 @@ def transmission_bound_general(
     p_region=None,
     integrals: GeometryIntegrals | None = None,
     resolution=None,
+    sums=None,
 ) -> float:
     """Upper bound on transmission outage in the distance-dependent case.
 
     1 - U^(phi1+phi2) * P(1 <= L <= k) - U^(2(phi1+phi2))/k^2 * P(L > k)
     with L the binomial in-region relay count and U the survival base.
+    ``sums`` is ``region_sums(n, k, r, p_region)`` when already known.
     """
     geo = _integrals_for(alpha, delta, integrals, resolution)
-    p = _region_probability(n, k, r, p_region)
-    s1, s2 = _binom_sums(n, k, p)
+    s1, s2 = region_sums(n, k, r, p_region) if sums is None else sums
     u = channel_survival_base(n, gamma_r, tau, r, alpha)
     phi = geo.hop_sum
     value = 1.0 - u**phi * s1 - (u ** (2.0 * phi)) / (k * k) * s2
@@ -282,8 +293,7 @@ def transmission_bound_general_tight(
     is never looser than ``transmission_bound_general``.
     """
     geo = _integrals_for(alpha, delta, integrals, resolution)
-    p = _region_probability(n, k, r, p_region)
-    s1, s2 = _binom_sums(n, k, p)
+    s1, s2 = region_sums(n, k, r, p_region)
     u = channel_survival_base(n, gamma_r, tau, r, alpha)
     phi1, phi2 = geo.midpoint, geo.endpoint
     x = (
@@ -323,9 +333,9 @@ def secrecy_bound_general(
     return SaturatingBound(value=2.0 * x - x * x, saturated=x > 1.0)
 
 
-def _survival_target(n: int, k: int, r: float, eps_t: float, p_region) -> float | None:
+def _survival_target(n: int, k: int, r: float, eps_t: float, p_region, sums) -> float | None:
     """Smallest admissible value of U^(phi1+phi2), or None when unreachable."""
-    nu1, nu2 = nu_coeffs(n, k, r, p_region)
+    nu1, nu2 = nu_coeffs(n, k, r, p_region, sums)
     if nu1 == 0.0 and nu2 == 0.0:
         return None
     if nu2 == 0.0:
@@ -350,12 +360,14 @@ def tau_max_general(
     p_region=None,
     integrals: GeometryIntegrals | None = None,
     resolution=None,
+    sums=None,
 ):
     """Largest jamming threshold keeping the transmission bound within eps_t.
 
     Inverts the quadratic in U^(phi1+phi2); when the above-k binomial mass
     vanishes (k = n or tiny regions) the quadratic degenerates and the
     linear inversion is used instead.  ``None`` marks infeasibility.
+    ``sums`` is ``region_sums(n, k, r, p_region)`` when already known.
     """
     if n < 2:
         raise ValueError("tau window requires n >= 2")
@@ -363,7 +375,7 @@ def tau_max_general(
     if gamma_r <= 0:
         raise ValueError("gamma_r must be positive")
     geo = _integrals_for(alpha, delta, integrals, resolution)
-    u_star = _survival_target(n, k, r, eps_t, p_region)
+    u_star = _survival_target(n, k, r, eps_t, p_region, sums)
     if u_star is None:
         return None
     if u_star <= 0.0:
@@ -426,12 +438,14 @@ def max_eaves_general(
     p_region=None,
     integrals: GeometryIntegrals | None = None,
     resolution=None,
+    sums=None,
 ):
     """Tolerable eavesdropper count in the distance-dependent case.
 
     (1-sqrt(1-eps_s)) / (pi*d0^2 + (1-pi*d0^2)*omega) where omega is the
     per-eavesdropper factor at the largest admissible jamming threshold.
     ``None`` when the reliability requirement is infeasible.
+    ``sums`` is ``region_sums(n, k, r, p_region)`` when already known.
     """
     if n < 2:
         raise ValueError("requires n >= 2")
@@ -441,7 +455,7 @@ def max_eaves_general(
     if cap >= 1.0:
         raise ValueError("pi*d0^2 must be below 1")
     geo = _integrals_for(alpha, delta, integrals, resolution)
-    u_star = _survival_target(n, k, r, eps_t, p_region)
+    u_star = _survival_target(n, k, r, eps_t, p_region, sums)
     if u_star is None:
         return None
     base = 1.0 / (1.0 + gamma_e * geo.corner * d0**alpha)

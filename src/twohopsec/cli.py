@@ -583,7 +583,8 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError:
-        print("numeric failure: out of memory (n*m too large for one batch)", file=sys.stderr)
+        print("numeric failure: out of memory (a batch keeps arrays of batch x n and "
+              "batch x m values; n or m too large)", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -14,6 +14,15 @@ source->relays, gains destination->relays, the relay-selection uniform,
 gains relays->selected relay, gains source->eavesdroppers, gains
 relays->eavesdroppers.
 
+The relays->eavesdroppers gains, the last draw, are taken in chunks of whole
+trials as the eavesdropper stage walks its (trial, relay, eavesdropper)
+tensor.  A ``Generator`` fills draws sequentially, so the chunks hold exactly
+the values of one (batch, n, m) draw.  A chunk covers max(1, 2^15 // (n*m))
+trials, so each of the stage's (at most three) tiles holds about 2^15
+float64 values, ~256 KiB, or one trial's n*m values when that is more,
+whatever the batch size; what the stage keeps per batch are (batch, n) and
+(batch, m) arrays.
+
 Distances are handled squared, so no square root is taken: the region test
 is x^2 + y^2 <= r^2, capture is d^2 < d0^2, and path loss is
 max(d^2, delta^2)^(-alpha/2).
@@ -54,6 +63,9 @@ __all__ = [
 ]
 
 BATCH_SIZE = 4096
+# Relay x eavesdropper elements per tile of the eavesdropper stage: 2^15
+# float64 values, about 256 KiB.
+_CHUNK_ELEMS = 1 << 15
 _Z95 = 1.959963984540054
 
 
@@ -148,6 +160,33 @@ def _count_below(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.sort(values), grid, side="left")
 
 
+def _select(w_eff: np.ndarray, k: int, region_count: np.ndarray, pick_u: np.ndarray) -> tuple:
+    """Pick each trial's relay uniformly among its best min(k, region_count).
+
+    Returns (jstar, c) with c the candidate count.  Candidates are ranked as
+    a stable descending sort of ``w_eff`` would rank them (ties by relay
+    index); since pick < c <= k, only the best k are sorted when k < n.  Only
+    a tie across the k-th place may keep either relay, an event of
+    probability zero for continuous gains.  A pick never reaches a -inf
+    (out-of-region) entry, because c <= region_count; in a trial with no
+    candidate, jstar is arbitrary and unused.
+    """
+    size, n = w_eff.shape
+    neg = -w_eff
+    if k < n:
+        top = np.argpartition(neg, k - 1, axis=1)[:, :k]
+        # relay-index order first, so the stable sort breaks ties by index
+        top.sort(axis=1)
+        ranks = np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable")
+        order = np.take_along_axis(top, ranks, axis=1)
+    else:
+        order = np.argsort(neg, axis=1, kind="stable")
+    c = np.minimum(k, region_count)
+    c_safe = np.maximum(c, 1)
+    pick = np.minimum((pick_u * c_safe).astype(np.int64), c_safe - 1)
+    return order[np.arange(size), pick], c
+
+
 def _run_batch(task) -> tuple:
     """Simulate one batch and count its outages at every threshold of the grids.
 
@@ -183,7 +222,7 @@ def _run_batch(task) -> tuple:
     g_rr = rng.standard_exponential((size, n))
     if m:
         g_se = rng.standard_exponential((size, m))
-        g_re = rng.standard_exponential((size, n, m))
+        # g_re, the last draw, is taken chunk by chunk in the eavesdropper stage
 
     # Candidate selection: best bottleneck gains inside the region.
     w = np.minimum(g_sr, g_dr)
@@ -194,12 +233,8 @@ def _run_batch(task) -> tuple:
     else:
         region_count = np.full(size, n)
         w_eff = w
-    order = np.argsort(-w_eff, axis=1, kind="stable")
-    c = np.minimum(k, region_count)
+    jstar, c = _select(w_eff, k, region_count, pick_u)
     no_cand = c == 0
-    c_safe = np.maximum(c, 1)
-    pick = np.minimum((pick_u * c_safe).astype(np.int64), c_safe - 1)
-    jstar = order[idx, pick]
 
     # Jammer memberships: gain toward the hop's legitimate receiver below tau.
     mask1 = g_rr < params.tau
@@ -228,32 +263,50 @@ def _run_batch(task) -> tuple:
         bottleneck = np.minimum(sig1 / (intf1 + noise), sig2 / (intf2 + noise))
 
     if m:
+        # The (trial, relay, eavesdropper) tensor is walked in chunks of
+        # whole trials, each tile about _CHUNK_ELEMS values, so it stays in
+        # cache; only (batch, m) results are kept.
+        chunk = min(size, max(1, _CHUNK_ELEMS // (n * m)))
+        g_tile = np.empty((chunk, n, m))
+        jammers = np.empty((size, 2, n))
+        jammers[:, 0], jammers[:, 1] = mask1, mask2
+        sig_e2 = np.empty((size, m))
+        intf_e = np.empty((size, 2, m))
         if general:
             ex, ey = eav[..., 0].copy(), eav[..., 1].copy()
             d2_se = (ex + 0.5) ** 2 + ey * ey
-            # squared relay->eavesdropper distances, built in place
-            d2_re = rx[:, :, None] - ex[:, None, :]
-            np.square(d2_re, out=d2_re)
-            dy = ry[:, :, None] - ey[:, None, :]
-            d2_re += np.square(dy, out=dy)
-            del dy
             d0_sq = params.d0 * params.d0
             captured1 = d2_se < d0_sq
-            captured2 = d2_re[idx, jstar, :] < d0_sq
-            weighted = pl(d2_re, out=d2_re)
+            captured2 = np.empty((size, m), dtype=bool)
             sig_e1 = es * g_se * pl(d2_se)
-            sig_e2 = es * g_re[idx, jstar, :] * weighted[idx, jstar, :]
-            weighted *= g_re
+            d2_tile, dy_tile = np.empty_like(g_tile), np.empty_like(g_tile)
         else:
             sig_e1 = es * g_se * pl_unit
-            sig_e2 = es * g_re[idx, jstar, :] * pl_unit
-            weighted = g_re * pl_unit
-        intf_e1 = es * np.einsum("bn,bnm->bm", mask1.astype(float), weighted)
-        intf_e2 = es * np.einsum("bn,bnm->bm", mask2.astype(float), weighted)
+        for lo in range(0, size, chunk):
+            hi = min(lo + chunk, size)
+            h = hi - lo
+            rows, sel = idx[:h], jstar[lo:hi]
+            g_re = rng.standard_exponential(out=g_tile[:h])
+            if general:
+                # squared relay->eavesdropper distances, built in place
+                d2 = np.subtract(rx[lo:hi, :, None], ex[lo:hi, None, :], out=d2_tile[:h])
+                np.square(d2, out=d2)
+                dy = np.subtract(ry[lo:hi, :, None], ey[lo:hi, None, :], out=dy_tile[:h])
+                d2 += np.square(dy, out=dy)
+                captured2[lo:hi] = d2[rows, sel, :] < d0_sq
+                weighted = pl(d2, out=d2)
+                sig_e2[lo:hi] = es * g_re[rows, sel, :] * weighted[rows, sel, :]
+                weighted *= g_re
+            else:
+                sig_e2[lo:hi] = es * g_re[rows, sel, :] * pl_unit
+                weighted = np.multiply(g_re, pl_unit, out=g_re)
+            # both hops' jammer interference in one stacked product
+            np.matmul(jammers[lo:hi], weighted, out=intf_e[lo:hi])
+        intf_e *= es
         # SINRs overwrite the signal arrays: no extra (batch, m) arrays at the peak
         with np.errstate(over="ignore"):
-            sinr_e1 = np.divide(sig_e1, intf_e1 + noise, out=sig_e1)
-            sinr_e2 = np.divide(sig_e2, intf_e2 + noise, out=sig_e2)
+            sinr_e1 = np.divide(sig_e1, intf_e[:, 0] + noise, out=sig_e1)
+            sinr_e2 = np.divide(sig_e2, intf_e[:, 1] + noise, out=sig_e2)
         if general:
             sinr_e1[captured1] = np.inf
             sinr_e2[captured2] = np.inf

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twohopsec import montecarlo
 from twohopsec.bounds_equal import (
     transmission_bound_equal,
     transmission_bound_equal_binomial_jammers,
@@ -14,6 +16,7 @@ from twohopsec.model import Case, ConfigurationError, ProtocolParams
 from twohopsec.montecarlo import (
     BATCH_SIZE,
     _count_below,
+    _select,
     compare,
     estimate,
     load_balance,
@@ -35,6 +38,14 @@ def general_params(**overrides):
                 case=Case.DISTANCE_DEPENDENT)
     base.update(overrides)
     return ProtocolParams(**base)
+
+
+def assert_same_report(a, b):
+    assert a.params == b.params
+    assert (a.p_t_hat, a.p_s_hat, a.ci_t, a.ci_s) == (b.p_t_hat, b.p_s_hat, b.ci_t, b.ci_s)
+    assert np.array_equal(a.selection_histogram, b.selection_histogram)
+    assert (a.no_candidate_rate, a.conditional_jain, a.conditional_entropy) == (
+        b.no_candidate_rate, b.conditional_jain, b.conditional_entropy)
 
 
 class TestWilson:
@@ -170,14 +181,6 @@ class TestThresholdGrid:
     """A gamma_r / gamma_e grid is evaluated on one set of trials (common
     random numbers); each grid report must equal a separate run at its value."""
 
-    @staticmethod
-    def _same(a, b):
-        assert a.params == b.params
-        assert (a.p_t_hat, a.p_s_hat, a.ci_t, a.ci_s) == (b.p_t_hat, b.p_s_hat, b.ci_t, b.ci_s)
-        assert np.array_equal(a.selection_histogram, b.selection_histogram)
-        assert (a.no_candidate_rate, a.conditional_jain, a.conditional_entropy) == (
-            b.no_candidate_rate, b.conditional_jain, b.conditional_entropy)
-
     @pytest.mark.parametrize("maker", [equal_params, general_params])
     @pytest.mark.parametrize("name", ["gamma_r", "gamma_e"])
     def test_grid_matches_separate_runs(self, maker, name):
@@ -188,13 +191,13 @@ class TestThresholdGrid:
         assert len(reports) == len(values)
         for value, rep in zip(values, reports):
             single = dataclasses.replace(params, **{name: value})
-            self._same(rep, estimate(single, 1234, seed=19, batch_size=500))
+            assert_same_report(rep, estimate(single, 1234, seed=19, batch_size=500))
 
     def test_grid_ignores_the_swept_field_of_params(self):
         params = general_params(n=6, m=3)
         a = estimate(params, 900, seed=2, gamma_e=[0.7])[0]
         b = estimate(dataclasses.replace(params, gamma_e=5.0), 900, seed=2, gamma_e=[0.7])[0]
-        self._same(a, b)
+        assert_same_report(a, b)
 
     def test_no_relays_grid(self):
         reports = estimate(equal_params(n=0, k=0, m=0), 300, seed=0, gamma_r=[0.5, 2.0])
@@ -240,6 +243,95 @@ def test_fixed_seed_outage_curves_are_monotone(gamma_r, gamma_e, seed, general):
     assert all(a >= b for a, b in zip(p_s, p_s[1:]))
 
 
+class TestEavesdropperChunks:
+    """The eavesdropper stage walks each batch in trial chunks and draws the
+    relay->eavesdropper gains chunk by chunk; the chunk size must not change
+    a single count."""
+
+    CONFIGS = {
+        "equal": equal_params(n=6, m=3, k=2, tau=0.4),
+        "general": general_params(n=6, m=3, k=2, tau=0.4, r=0.35),
+        "no eavesdroppers": general_params(n=6, m=0, k=2, tau=0.4, r=0.35),
+        "one relay": general_params(n=1, m=4, k=1, tau=0.4, r=0.45),
+        "k = n": general_params(n=5, m=4, k=5, tau=0.6, r=0.45),
+        "equal k = n": equal_params(n=5, m=4, k=5, tau=0.6),
+    }
+    # tile budgets: one trial per chunk, 7 trials (a partial last chunk in
+    # every batch), and more than a whole batch
+    BUDGETS = {"one trial": 1, "seven trials": 7, "whole batch": 4 * BATCH_SIZE}
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, name):
+        params = self.CONFIGS[name]
+        trials, grid = 2 * BATCH_SIZE + 17, [0.1, 0.5, 1.0, 2.0, 8.0]
+
+        def reports():
+            return [estimate(params, trials, seed=31),
+                    *estimate(params, trials, seed=31, gamma_e=grid)]
+
+        default = reports()
+        for budget, chunk_trials in self.BUDGETS.items():
+            monkeypatch.setattr(montecarlo, "_CHUNK_ELEMS",
+                                chunk_trials * params.n * max(params.m, 1))
+            for a, b in zip(default, reports()):
+                assert_same_report(a, b)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 9])
+    def test_partial_selection_picks_what_a_full_stable_sort_picks(self, k):
+        rng = np.random.default_rng(3)
+        size, n = 4000, 9
+        w = rng.standard_exponential((size, n))
+        # about a third of the relays out of region; rows with fewer than k
+        # (or no) in-region relays included
+        in_region = rng.random((size, n)) < 0.35
+        in_region[:50] = False
+        in_region[50:100] = True
+        if k >= 2:
+            # a tie for first place, inside the best k: broken by relay index
+            in_region[100:200, [4, 7]] = True
+            w[100:200, [4, 7]] = 1e3
+        w_eff = np.where(in_region, w, -np.inf)
+        region_count = in_region.sum(axis=1)
+        pick_u = rng.random(size)
+        jstar, c = _select(w_eff, k, region_count, pick_u)
+
+        order = np.argsort(-w_eff, axis=1, kind="stable")
+        c_ref = np.minimum(k, region_count)
+        c_safe = np.maximum(c_ref, 1)
+        pick = np.minimum((pick_u * c_safe).astype(np.int64), c_safe - 1)
+        jstar_ref = order[np.arange(size), pick]
+        assert np.array_equal(c, c_ref)
+        selected = c_ref > 0
+        assert (~selected).sum() >= 50
+        assert k == 1 or (selected & (region_count < k)).any()
+        assert np.array_equal(jstar[selected], jstar_ref[selected])
+        assert np.isfinite(w_eff[selected, jstar[selected]]).all()
+
+
+def _traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestEngineMemory:
+    """Only (batch, n) and (batch, m) arrays scale with the batch; the
+    relay x eavesdropper tensor is walked in cache-sized chunks."""
+
+    def test_general_hundred_relays_fifty_eavesdroppers(self):
+        # a whole (4096, 100, 50) tensor alone is 156 MiB
+        p = general_params(n=100, m=50, k=3, r=0.4, tau=0.5)
+        assert _traced_peak_mib(lambda: estimate(p, 4096, seed=1)) < 128
+
+    def test_general_two_hundred_relays_and_eavesdroppers(self):
+        # n*m exceeds one tile's budget, so every chunk is a single trial
+        p = general_params(n=200, m=200, k=3, r=0.4, tau=0.5)
+        assert _traced_peak_mib(lambda: estimate(p, 512, seed=1)) < 64
+
+
 class TestEngineAgainstExactLaw:
     def test_no_jamming_uniform_selection_closed_form(self):
         # tau = 0, k = n, equal path loss: the selected relay is uniform and
@@ -271,15 +363,26 @@ class TestBatchEngineAgainstScalarProtocol:
             s += out.s_outage
         return t / trials, s / trials
 
+    def _assert_agree(self, params, scalar_trials, engine_trials):
+        t_scalar, s_scalar = self._scalar_rates(params, scalar_trials, seed=13)
+        rep = estimate(params, engine_trials, seed=14)
+        total = scalar_trials + engine_trials
+        for a, b in ((t_scalar, rep.p_t_hat), (s_scalar, rep.p_s_hat)):
+            pooled = (a * scalar_trials + b * engine_trials) / total
+            se = math.sqrt(max(pooled * (1 - pooled), 1e-12)
+                           * (1 / scalar_trials + 1 / engine_trials))
+            assert abs(a - b) <= 4 * se, (a, b, se)
+
     @pytest.mark.parametrize("maker", [equal_params, general_params])
     def test_outage_rates_agree(self, maker):
         params = maker(n=4, m=2, k=2, tau=0.6, gamma_r=0.8, gamma_e=1.2)
-        t_scalar, s_scalar = self._scalar_rates(params, 6000, seed=13)
-        rep = estimate(params, 60_000, seed=14)
-        for a, b in ((t_scalar, rep.p_t_hat), (s_scalar, rep.p_s_hat)):
-            pooled = (a * 6000 + b * 60_000) / 66_000
-            se = math.sqrt(max(pooled * (1 - pooled), 1e-12) * (1 / 6000 + 1 / 60_000))
-            assert abs(a - b) <= 4 * se, (a, b, se)
+        self._assert_agree(params, 6000, 60_000)
+
+    def test_outage_rates_agree_with_fifty_relays_and_eavesdroppers(self):
+        # both outage rates mid-range (about 0.42 and 0.67); the engine walks
+        # each batch in 13-trial chunks here
+        params = general_params(n=50, m=50, k=3, r=0.3, tau=0.2, gamma_r=0.3, gamma_e=5.0)
+        self._assert_agree(params, 500, 3 * BATCH_SIZE)
 
 
 class TestCompare:

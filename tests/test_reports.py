@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twohopsec import bounds_general as bgen
 from twohopsec.model import Case, ProtocolParams
 from twohopsec.reports import TauWindow, evaluate_bounds
 
@@ -66,3 +67,24 @@ def test_bounds_are_probabilities_at_any_n(general, n, k, m, r, tau, gamma_r, ga
     rep = evaluate_bounds(p, 0.19, 0.19)
     assert 0.0 <= rep.bound_t <= 1.0
     assert 0.0 <= rep.bound_s.effective <= 1.0
+
+
+@pytest.mark.parametrize("n, k, r, p_region", [
+    (10, 3, 0.3, None), (763, 3, 0.25, None), (8, 8, 0.4, None), (40, 2, 0.7, 0.9),
+])
+def test_general_evaluation_splits_the_binomial_once(monkeypatch, n, k, r, p_region):
+    p = ProtocolParams(n=n, m=3, k=k, r=r, tau=0.4, gamma_r=0.8, gamma_e=1.5,
+                       case=Case.DISTANCE_DEPENDENT)
+    # each bound on its own, splitting the binomial itself
+    standalone = (
+        bgen.transmission_bound_general(n, k, r, p.gamma_r, p.tau, p.alpha, p.delta, p_region),
+        bgen.tau_max_general(n, k, r, p.gamma_r, p.alpha, p.delta, 0.19, p_region),
+        bgen.max_eaves_general(n, k, r, p.gamma_r, p.gamma_e, p.d0, p.alpha, p.delta,
+                               0.19, 0.19, p_region),
+    )
+    calls = []
+    split = bgen._binom_sums
+    monkeypatch.setattr(bgen, "_binom_sums", lambda *a: calls.append(a) or split(*a))
+    rep = evaluate_bounds(p, 0.19, 0.19, p_region=p_region)
+    assert len(calls) == 1
+    assert (rep.bound_t, rep.window.tau_max, rep.max_eaves) == standalone

@@ -235,9 +235,9 @@ def region_sums(n: int, k: int, r: float, p_region=None):
     return _binom_sums(n, k, _region_probability(n, k, r, p_region))
 
 
-def nu_coeffs(n: int, k: int, r: float, p_region=None, sums=None):
+def nu_coeffs(n: int, k: int, r: float, p_region=None):
     """k^2-scaled binomial masses of the in-region relay count, split at k."""
-    s1, s2 = region_sums(n, k, r, p_region) if sums is None else sums
+    s1, s2 = region_sums(n, k, r, p_region)
     return k * k * s1, k * k * s2
 
 
@@ -333,9 +333,14 @@ def secrecy_bound_general(
     return SaturatingBound(value=2.0 * x - x * x, saturated=x > 1.0)
 
 
-def _survival_target(n: int, k: int, r: float, eps_t: float, p_region, sums) -> float | None:
-    """Smallest admissible value of U^(phi1+phi2), or None when unreachable."""
-    nu1, nu2 = nu_coeffs(n, k, r, p_region, sums)
+def _survival_target(k: int, eps_t: float, sums) -> float | None:
+    """Smallest admissible value of U^(phi1+phi2), or None when unreachable.
+
+    ``sums`` is ``region_sums(n, k, r, p_region)``; the k^2-scaled masses
+    are those of ``nu_coeffs``.
+    """
+    s1, s2 = sums
+    nu1, nu2 = k * k * s1, k * k * s2
     if nu1 == 0.0 and nu2 == 0.0:
         return None
     if nu2 == 0.0:
@@ -375,7 +380,8 @@ def tau_max_general(
     if gamma_r <= 0:
         raise ValueError("gamma_r must be positive")
     geo = _integrals_for(alpha, delta, integrals, resolution)
-    u_star = _survival_target(n, k, r, eps_t, p_region, sums)
+    sums = region_sums(n, k, r, p_region) if sums is None else sums
+    u_star = _survival_target(k, eps_t, sums)
     if u_star is None:
         return None
     if u_star <= 0.0:
@@ -455,7 +461,8 @@ def max_eaves_general(
     if cap >= 1.0:
         raise ValueError("pi*d0^2 must be below 1")
     geo = _integrals_for(alpha, delta, integrals, resolution)
-    u_star = _survival_target(n, k, r, eps_t, p_region, sums)
+    sums = region_sums(n, k, r, p_region) if sums is None else sums
+    u_star = _survival_target(k, eps_t, sums)
     if u_star is None:
         return None
     base = 1.0 / (1.0 + gamma_e * geo.corner * d0**alpha)

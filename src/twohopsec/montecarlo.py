@@ -165,22 +165,19 @@ def _select(w_eff: np.ndarray, k: int, region_count: np.ndarray, pick_u: np.ndar
 
     Returns (jstar, c) with c the candidate count.  Candidates are ranked as
     a stable descending sort of ``w_eff`` would rank them (ties by relay
-    index); since pick < c <= k, only the best k are sorted when k < n.  Only
-    a tie across the k-th place may keep either relay, an event of
+    index); since pick < c <= k, only the best k are sorted.  Only a tie
+    across the k-th place (k < n) may keep either relay, an event of
     probability zero for continuous gains.  A pick never reaches a -inf
     (out-of-region) entry, because c <= region_count; in a trial with no
     candidate, jstar is arbitrary and unused.
     """
-    size, n = w_eff.shape
+    size = w_eff.shape[0]
     neg = -w_eff
-    if k < n:
-        top = np.argpartition(neg, k - 1, axis=1)[:, :k]
-        # relay-index order first, so the stable sort breaks ties by index
-        top.sort(axis=1)
-        ranks = np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable")
-        order = np.take_along_axis(top, ranks, axis=1)
-    else:
-        order = np.argsort(neg, axis=1, kind="stable")
+    top = np.argpartition(neg, k - 1, axis=1)[:, :k]
+    # relay-index order first, so the stable sort breaks ties by index
+    top.sort(axis=1)
+    ranks = np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable")
+    order = np.take_along_axis(top, ranks, axis=1)
     c = np.minimum(k, region_count)
     c_safe = np.maximum(c, 1)
     pick = np.minimum((pick_u * c_safe).astype(np.int64), c_safe - 1)

@@ -48,8 +48,6 @@ from .montecarlo import (
     wilson_interval,
 )
 from .orderstats import (
-    GainDistribution,
-    GainKind,
     kth_largest_cdf,
     kth_largest_pdf,
     min_pair_cdf,
@@ -61,7 +59,6 @@ from .orderstats import (
 )
 from .protocol import (
     CandidateSet,
-    combine_hop_outages,
     execute_trial,
     jammer_set,
     pick_relay,

@@ -30,7 +30,6 @@ __all__ = [
     "region_sums",
     "nu_coeffs",
     "transmission_bound_general",
-    "transmission_bound_general_tight",
     "secrecy_bound_general",
     "tau_max_general",
     "tau_min_general",
@@ -265,44 +264,6 @@ def transmission_bound_general(
     u = channel_survival_base(n, gamma_r, tau, r, alpha)
     phi = geo.hop_sum
     value = 1.0 - u**phi * s1 - (u ** (2.0 * phi)) / (k * k) * s2
-    return min(max(value, 0.0), 1.0)
-
-
-def _geom_series(v: float, k: int) -> float:
-    """sum_{i=0}^{k-1} v^i with the v -> 1 limit."""
-    if v >= 1.0:
-        return float(k)
-    return (1.0 - v**k) / (1.0 - v)
-
-
-def transmission_bound_general_tight(
-    n: int,
-    k: int,
-    r: float,
-    gamma_r: float,
-    tau: float,
-    alpha: float,
-    delta: float,
-    p_region=None,
-    integrals: GeometryIntegrals | None = None,
-    resolution=None,
-) -> float:
-    """Pre-relaxation transmission bound (diagnostic).
-
-    Keeps the rank geometric-series factors the plain bound drops, so it
-    is never looser than ``transmission_bound_general``.
-    """
-    geo = _integrals_for(alpha, delta, integrals, resolution)
-    s1, s2 = region_sums(n, k, r, p_region)
-    u = channel_survival_base(n, gamma_r, tau, r, alpha)
-    phi1, phi2 = geo.midpoint, geo.endpoint
-    x = (
-        u ** (2.0 * (phi1 + phi2))
-        * _geom_series(u ** (2.0 * phi1), k)
-        * _geom_series(u ** (2.0 * phi2), k)
-        / (k * k)
-    )
-    value = 1.0 - u ** (phi1 + phi2) * s1 - x * s2
     return min(max(value, 0.0), 1.0)
 
 

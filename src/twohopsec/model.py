@@ -124,6 +124,15 @@ class ProtocolParams:
             object.__setattr__(self, "delta", self.d0)
         if self.delta <= 0:
             raise ValueError("distance clamp delta must be positive")
+        if self.is_general:
+            # the largest path loss; in the equal case max(1, delta)^-alpha <= 1
+            try:
+                self.delta ** -self.alpha
+            except OverflowError:
+                raise ValueError(
+                    f"path loss delta^-alpha = {self.delta!r}^-{self.alpha!r} overflows; "
+                    "lower alpha or raise delta"
+                ) from None
         if self.case is Case.EQUAL_PATH_LOSS:
             object.__setattr__(self, "r", math.inf)
 

@@ -14,14 +14,24 @@ source->relays, gains destination->relays, the relay-selection uniform,
 gains relays->selected relay, gains source->eavesdroppers, gains
 relays->eavesdroppers.
 
-The relays->eavesdroppers gains, the last draw, are taken in chunks of whole
-trials as the eavesdropper stage walks its (trial, relay, eavesdropper)
-tensor.  A ``Generator`` fills draws sequentially, so the chunks hold exactly
-the values of one (batch, n, m) draw.  A chunk covers max(1, 2^15 // (n*m))
-trials, so each of the stage's (at most three) tiles holds about 2^15
-float64 values, ~256 KiB, or one trial's n*m values when that is more,
-whatever the batch size; what the stage keeps per batch are (batch, n) and
-(batch, m) arrays.
+A batch runs as named stages, draw -> select -> jam -> legit_sinr -> eaves
+-> reduce.  ``_draw`` takes every whole-batch draw but the last.  The next
+four run over trial chunks of max(1, 2^15 // max(n, m)) trials: ``_select``
+applies the region and picks the relay, ``_jam`` forms both hops' jammer
+sets, ``_legit_sinr`` gives the bottleneck SINR and ``_eaves`` the strongest
+eavesdropper SINR, each written into a (batch,) array that ``_reduce``
+counts.  ``_eaves`` walks its chunk's (trial, relay, eavesdropper) tensor in
+tiles of max(1, 2^15 // (n*m)) trials and draws the relays->eavesdroppers
+gains tile by tile, in trial order; a ``Generator`` fills draws
+sequentially, so the tiles hold exactly the values of one (batch, n, m)
+draw.  Memory per batch is the draws plus a fixed number of chunk arrays
+and tiles of about 2^15 float64 values (~256 KiB) each, or of one trial's
+n*m values when that is more, whatever the batch size.
+
+An overflow outside the SINR quotients (an enormous ``es``) would turn a
+finite SINR into +inf or NaN, so it raises ``FloatingPointError``, and so
+does a NaN SINR in ``_reduce``; an SINR quotient may overflow to the right
++inf (a subnormal noise level).
 
 Distances are handled squared, so no square root is taken: the region test
 is x^2 + y^2 <= r^2, capture is d^2 < d0^2, and path loss is
@@ -63,8 +73,8 @@ __all__ = [
 ]
 
 BATCH_SIZE = 4096
-# Relay x eavesdropper elements per tile of the eavesdropper stage: 2^15
-# float64 values, about 256 KiB.
+# Values per stage-chunk array (trials x max(n, m)) and per eavesdropper
+# tile (trials x n x m): 2^15 float64 values, about 256 KiB.
 _CHUNK_ELEMS = 1 << 15
 _Z95 = 1.959963984540054
 
@@ -160,7 +170,8 @@ def _count_below(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.sort(values), grid, side="left")
 
 
-def _select(w_eff: np.ndarray, k: int, region_count: np.ndarray, pick_u: np.ndarray) -> tuple:
+def _pick_among_best(w_eff: np.ndarray, k: int, region_count: np.ndarray,
+                     pick_u: np.ndarray) -> tuple:
     """Pick each trial's relay uniformly among its best min(k, region_count).
 
     Returns (jstar, c) with c the candidate count.  Candidates are ranked as
@@ -184,6 +195,167 @@ def _select(w_eff: np.ndarray, k: int, region_count: np.ndarray, pick_u: np.ndar
     return order[np.arange(size), pick], c
 
 
+def _draw(params: ProtocolParams, rng: np.random.Generator, size: int) -> tuple:
+    """Draw stage: every whole-batch draw, in the documented order.
+
+    Returns (relay positions (batch, n, 2), eavesdropper positions
+    (batch, m, 2), g_sr, g_dr, pick_u, g_rr, g_se); positions are None in
+    the equal case and the eavesdropper arrays None when m = 0.  The
+    relays -> eavesdroppers gains come last and are drawn tile by tile in
+    ``_eaves``.
+    """
+    n, m = params.n, params.m
+    general = params.is_general
+    rel = rng.uniform(-0.5, 0.5, size=(size, n, 2)) if general else None
+    eav = rng.uniform(-0.5, 0.5, size=(size, m, 2)) if general and m else None
+    g_sr = rng.standard_exponential((size, n))
+    g_dr = rng.standard_exponential((size, n))
+    pick_u = rng.random(size)
+    g_rr = rng.standard_exponential((size, n))
+    g_se = rng.standard_exponential((size, m)) if m else None
+    return rel, eav, g_sr, g_dr, pick_u, g_rr, g_se
+
+
+def _path_loss(d2: np.ndarray, params: ProtocolParams, out=None) -> np.ndarray:
+    """max(d, delta)^-alpha from squared distances, in place when ``out`` is given."""
+    clamped = np.maximum(d2, params.delta * params.delta, out=out)
+    return np.power(clamped, -0.5 * params.alpha, out=clamped)
+
+
+def _unit_path_loss(params: ProtocolParams) -> float:
+    """The path loss of every link in the equal case: max(1, delta)^-alpha."""
+    return max(1.0, params.delta) ** (-params.alpha)
+
+
+def _select(params, g_sr, g_dr, pick_u, rx, ry) -> tuple:
+    """Select stage: (jstar, c) of each trial of a chunk.  Candidates are the
+    relays inside the region (every relay in the equal case, where ``rx`` is
+    None), ranked by their bottleneck gain min(g_sr, g_dr)."""
+    w = np.minimum(g_sr, g_dr)
+    if rx is None:
+        return _pick_among_best(w, params.k, np.full(len(w), params.n), pick_u)
+    in_region = rx * rx + ry * ry <= params.r * params.r
+    w[~in_region] = -np.inf
+    return _pick_among_best(w, params.k, in_region.sum(axis=1), pick_u)
+
+
+def _jam(params, g_rr, g_dr, jstar) -> np.ndarray:
+    """Jam stage: (chunk, 2, n) jammer memberships of hops 1 and 2, as 0/1
+    floats.  A non-selected relay jams a hop when its gain toward that hop's
+    legitimate receiver is below tau."""
+    jammers = np.empty((len(jstar), 2, g_rr.shape[1]))
+    np.less(g_rr, params.tau, out=jammers[:, 0])
+    np.less(g_dr, params.tau, out=jammers[:, 1])
+    jammers[np.arange(len(jstar)), :, jstar] = 0.0
+    return jammers
+
+
+def _legit_sinr(params, g_sr, g_dr, g_rr, jammers, jstar, rx, ry) -> np.ndarray:
+    """Legitimate-SINR stage: each trial's bottleneck min(hop-1 SINR, hop-2 SINR)."""
+    es = params.es
+    rows = np.arange(len(jstar))
+    if rx is None:
+        pl_rr = pl_rd = pl_s = pl_d = _unit_path_loss(params)
+    else:
+        sx, sy = rx[rows, jstar], ry[rows, jstar]
+        pl_rr = _path_loss((rx - sx[:, None]) ** 2 + (ry - sy[:, None]) ** 2, params)
+        pl_rd = _path_loss((rx - 0.5) ** 2 + ry * ry, params)
+        pl_s = _path_loss((sx + 0.5) ** 2 + sy * sy, params)
+        pl_d = pl_rd[rows, jstar]
+    sig1 = es * g_sr[rows, jstar] * pl_s
+    sig2 = es * g_dr[rows, jstar] * pl_d
+    noise = params.n0 / 2.0
+    intf1 = es * np.sum(jammers[:, 0] * g_rr * pl_rr, axis=1)
+    intf2 = es * np.sum(jammers[:, 1] * g_dr * pl_rd, axis=1)
+    # With a subnormal noise level and no jammer the quotient overflows to
+    # +inf, which is the right SINR.
+    with np.errstate(over="ignore"):
+        return np.minimum(sig1 / (intf1 + noise), sig2 / (intf2 + noise))
+
+
+def _eaves(params, rng, g_se, eav, jammers, jstar, rx, ry) -> np.ndarray:
+    """Eavesdropper stage: each trial's strongest eavesdropper SINR, the
+    maximum over eavesdroppers and both hops with capture as +inf.
+
+    The (trial, relay, eavesdropper) tensor is walked in tiles of whole
+    trials, each about _CHUNK_ELEMS values so it stays in cache, and the
+    relays -> eavesdroppers gains are drawn tile by tile, in trial order.
+    """
+    size, n = len(jstar), jammers.shape[2]
+    m = g_se.shape[1]
+    es, general = params.es, rx is not None
+    tile = min(size, max(1, _CHUNK_ELEMS // (n * m)))
+    g_tile = np.empty((tile, n, m))
+    sig_e2 = np.empty((size, m))
+    intf_e = np.empty((size, 2, m))
+    if general:
+        # contiguous copies of the coordinate planes, read once per tile
+        ex, ey = eav[..., 0].copy(), eav[..., 1].copy()
+        d2_se = (ex + 0.5) ** 2 + ey * ey
+        d0_sq = params.d0 * params.d0
+        captured1 = d2_se < d0_sq
+        captured2 = np.empty((size, m), dtype=bool)
+        sig_e1 = es * g_se * _path_loss(d2_se, params)
+        d2_tile, dy_tile = np.empty_like(g_tile), np.empty_like(g_tile)
+    else:
+        pl_unit = _unit_path_loss(params)
+        sig_e1 = es * g_se * pl_unit
+    for lo in range(0, size, tile):
+        hi = min(lo + tile, size)
+        h = hi - lo
+        rows, sel = np.arange(h), jstar[lo:hi]
+        g_re = rng.standard_exponential(out=g_tile[:h])
+        if general:
+            # squared relay->eavesdropper distances, built in place
+            d2 = np.subtract(rx[lo:hi, :, None], ex[lo:hi, None, :], out=d2_tile[:h])
+            np.square(d2, out=d2)
+            dy = np.subtract(ry[lo:hi, :, None], ey[lo:hi, None, :], out=dy_tile[:h])
+            d2 += np.square(dy, out=dy)
+            captured2[lo:hi] = d2[rows, sel, :] < d0_sq
+            weighted = _path_loss(d2, params, out=d2)
+            sig_e2[lo:hi] = es * g_re[rows, sel, :] * weighted[rows, sel, :]
+            weighted *= g_re
+        else:
+            sig_e2[lo:hi] = es * g_re[rows, sel, :] * pl_unit
+            weighted = np.multiply(g_re, pl_unit, out=g_re)
+        # both hops' jammer interference in one stacked product
+        np.matmul(jammers[lo:hi], weighted, out=intf_e[lo:hi])
+    intf_e *= es
+    noise = params.n0 / 2.0
+    # SINRs overwrite the signal arrays; an overflow is the right +inf here too
+    with np.errstate(over="ignore"):
+        sinr_e1 = np.divide(sig_e1, intf_e[:, 0] + noise, out=sig_e1)
+        sinr_e2 = np.divide(sig_e2, intf_e[:, 1] + noise, out=sig_e2)
+    if general:
+        sinr_e1[captured1] = np.inf
+        sinr_e2[captured2] = np.inf
+    return np.maximum(sinr_e1, sinr_e2, out=sinr_e1).max(axis=1)
+
+
+def _reduce(n, bottleneck, eav_max, jstar, c, gamma_r, gamma_e) -> tuple:
+    """Reduce stage: count one batch's outages at every threshold of the grids.
+
+    Raises FloatingPointError when a selected trial's bottleneck or
+    strongest eavesdropper SINR is NaN: a NaN compares false with every
+    threshold, so it would count silently as no outage.
+    """
+    size = len(c)
+    selected = c > 0
+    n_selected = int(selected.sum())
+    bottleneck, eav_max = bottleneck[selected], eav_max[selected]
+    if np.isnan(bottleneck).any() or np.isnan(eav_max).any():
+        raise FloatingPointError("an SINR evaluated to NaN, which would count as no outage")
+    c_sel = c[selected]
+    return (
+        size - n_selected + _count_below(bottleneck, gamma_r),
+        n_selected - _count_below(eav_max, gamma_e),
+        size - n_selected,
+        np.bincount(jstar[selected], minlength=n).astype(np.int64),
+        int(c_sel.sum()),
+        float(np.log(c_sel).sum()),
+    )
+
+
 def _run_batch(task) -> tuple:
     """Simulate one batch and count its outages at every threshold of the grids.
 
@@ -193,136 +365,33 @@ def _run_batch(task) -> tuple:
     ``params.gamma_e`` are not read; the grids take their place.
     """
     params, seed, batch_index, size, gamma_r, gamma_e = task
-    n, m, k = params.n, params.m, params.k
+    n, m = params.n, params.m
     if n == 0:
         return (np.full(len(gamma_r), size, dtype=np.int64),
                 np.zeros(len(gamma_e), dtype=np.int64), size,
                 np.zeros(0, dtype=np.int64), 0, 0.0)
     rng = _batch_rng(seed, batch_index)
-    general = params.is_general
-    alpha, delta, es, n0 = params.alpha, params.delta, params.es, params.n0
-    idx = np.arange(size)
-
-    def pl(d2, out=None):
-        """Path loss max(d, delta)^-alpha from squared distances, in place when ``out`` is given."""
-        clamped = np.maximum(d2, delta * delta, out=out)
-        return np.power(clamped, -0.5 * alpha, out=clamped)
-
-    if general:
-        rel = rng.uniform(-0.5, 0.5, size=(size, n, 2))
-        eav = rng.uniform(-0.5, 0.5, size=(size, m, 2)) if m else None
-        # contiguous copies of the coordinate planes, read many times below
-        rx, ry = rel[..., 0].copy(), rel[..., 1].copy()
-    g_sr = rng.standard_exponential((size, n))
-    g_dr = rng.standard_exponential((size, n))
-    pick_u = rng.random(size)
-    g_rr = rng.standard_exponential((size, n))
-    if m:
-        g_se = rng.standard_exponential((size, m))
-        # g_re, the last draw, is taken chunk by chunk in the eavesdropper stage
-
-    # Candidate selection: best bottleneck gains inside the region.
-    w = np.minimum(g_sr, g_dr)
-    if general:
-        in_region = rx * rx + ry * ry <= params.r * params.r
-        region_count = in_region.sum(axis=1)
-        w_eff = np.where(in_region, w, -np.inf)
-    else:
-        region_count = np.full(size, n)
-        w_eff = w
-    jstar, c = _select(w_eff, k, region_count, pick_u)
-    no_cand = c == 0
-
-    # Jammer memberships: gain toward the hop's legitimate receiver below tau.
-    mask1 = g_rr < params.tau
-    mask1[idx, jstar] = False
-    mask2 = g_dr < params.tau
-    mask2[idx, jstar] = False
-
-    if general:
-        sx, sy = rx[idx, jstar], ry[idx, jstar]
-        pl_rr = pl((rx - sx[:, None]) ** 2 + (ry - sy[:, None]) ** 2)
-        pl_rd = pl((rx - 0.5) ** 2 + ry * ry)
-        sig1 = es * g_sr[idx, jstar] * pl((sx + 0.5) ** 2 + sy * sy)
-        sig2 = es * g_dr[idx, jstar] * pl_rd[idx, jstar]
-    else:
-        pl_unit = max(1.0, delta) ** (-alpha)
-        pl_rr = pl_rd = pl_unit
-        sig1 = es * g_sr[idx, jstar] * pl_unit
-        sig2 = es * g_dr[idx, jstar] * pl_unit
-
-    noise = n0 / 2.0
-    intf1 = es * np.sum(mask1 * g_rr * pl_rr, axis=1)
-    intf2 = es * np.sum(mask2 * g_dr * pl_rd, axis=1)
-    # With a subnormal noise level and no jammer the quotient overflows to
-    # +inf, which is the right SINR.
-    with np.errstate(over="ignore"):
-        bottleneck = np.minimum(sig1 / (intf1 + noise), sig2 / (intf2 + noise))
-
-    if m:
-        # The (trial, relay, eavesdropper) tensor is walked in chunks of
-        # whole trials, each tile about _CHUNK_ELEMS values, so it stays in
-        # cache; only (batch, m) results are kept.
-        chunk = min(size, max(1, _CHUNK_ELEMS // (n * m)))
-        g_tile = np.empty((chunk, n, m))
-        jammers = np.empty((size, 2, n))
-        jammers[:, 0], jammers[:, 1] = mask1, mask2
-        sig_e2 = np.empty((size, m))
-        intf_e = np.empty((size, 2, m))
-        if general:
-            ex, ey = eav[..., 0].copy(), eav[..., 1].copy()
-            d2_se = (ex + 0.5) ** 2 + ey * ey
-            d0_sq = params.d0 * params.d0
-            captured1 = d2_se < d0_sq
-            captured2 = np.empty((size, m), dtype=bool)
-            sig_e1 = es * g_se * pl(d2_se)
-            d2_tile, dy_tile = np.empty_like(g_tile), np.empty_like(g_tile)
-        else:
-            sig_e1 = es * g_se * pl_unit
+    rel, eav, g_sr, g_dr, pick_u, g_rr, g_se = _draw(params, rng, size)
+    bottleneck, eav_max = np.empty(size), np.full(size, -np.inf)
+    jstar, c = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    chunk = min(size, max(1, _CHUNK_ELEMS // max(n, m)))
+    # Outside the SINR quotients an overflow (a huge es) would turn a finite
+    # SINR into +inf or NaN: it raises FloatingPointError instead.
+    with np.errstate(over="raise"):
         for lo in range(0, size, chunk):
-            hi = min(lo + chunk, size)
-            h = hi - lo
-            rows, sel = idx[:h], jstar[lo:hi]
-            g_re = rng.standard_exponential(out=g_tile[:h])
-            if general:
-                # squared relay->eavesdropper distances, built in place
-                d2 = np.subtract(rx[lo:hi, :, None], ex[lo:hi, None, :], out=d2_tile[:h])
-                np.square(d2, out=d2)
-                dy = np.subtract(ry[lo:hi, :, None], ey[lo:hi, None, :], out=dy_tile[:h])
-                d2 += np.square(dy, out=dy)
-                captured2[lo:hi] = d2[rows, sel, :] < d0_sq
-                weighted = pl(d2, out=d2)
-                sig_e2[lo:hi] = es * g_re[rows, sel, :] * weighted[rows, sel, :]
-                weighted *= g_re
-            else:
-                sig_e2[lo:hi] = es * g_re[rows, sel, :] * pl_unit
-                weighted = np.multiply(g_re, pl_unit, out=g_re)
-            # both hops' jammer interference in one stacked product
-            np.matmul(jammers[lo:hi], weighted, out=intf_e[lo:hi])
-        intf_e *= es
-        # SINRs overwrite the signal arrays: no extra (batch, m) arrays at the peak
-        with np.errstate(over="ignore"):
-            sinr_e1 = np.divide(sig_e1, intf_e[:, 0] + noise, out=sig_e1)
-            sinr_e2 = np.divide(sig_e2, intf_e[:, 1] + noise, out=sig_e2)
-        if general:
-            sinr_e1[captured1] = np.inf
-            sinr_e2[captured2] = np.inf
-        eav_max = np.maximum(sinr_e1, sinr_e2, out=sinr_e1).max(axis=1)
-    else:
-        eav_max = np.full(size, -np.inf)
-
-    selected = ~no_cand
-    n_selected = int(selected.sum())
-    hist = np.bincount(jstar[selected], minlength=n).astype(np.int64)
-    c_sel = c[selected]
-    return (
-        size - n_selected + _count_below(bottleneck[selected], gamma_r),
-        n_selected - _count_below(eav_max[selected], gamma_e),
-        size - n_selected,
-        hist,
-        int(c_sel.sum()),
-        float(np.log(c_sel).sum()),
-    )
+            s = slice(lo, min(lo + chunk, size))
+            rx = ry = eav_s = None
+            if rel is not None:
+                # contiguous copies of the chunk's coordinate planes
+                rx, ry = rel[s, :, 0].copy(), rel[s, :, 1].copy()
+                eav_s = None if eav is None else eav[s]
+            jstar[s], c[s] = _select(params, g_sr[s], g_dr[s], pick_u[s], rx, ry)
+            jammers = _jam(params, g_rr[s], g_dr[s], jstar[s])
+            bottleneck[s] = _legit_sinr(params, g_sr[s], g_dr[s], g_rr[s], jammers, jstar[s],
+                                        rx, ry)
+            if m:
+                eav_max[s] = _eaves(params, rng, g_se[s], eav_s, jammers, jstar[s], rx, ry)
+    return _reduce(n, bottleneck, eav_max, jstar, c, gamma_r, gamma_e)
 
 
 def estimate(

@@ -15,15 +15,11 @@ the rank sums stay finite for relay counts up to the thousands.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "GainKind",
-    "GainDistribution",
     "min_pair_cdf",
     "min_pair_pdf",
     "kth_largest_cdf",
@@ -232,48 +228,3 @@ def sample_topk_random(n: int, k: int, rng: np.random.Generator, size=None):
     pick = rng.integers(0, k, size=b)
     out = gains[np.arange(b), order[np.arange(b), pick]]
     return float(out[0]) if size is None else out
-
-
-class GainKind(enum.Enum):
-    """Which member of the bottleneck-gain family a distribution describes."""
-
-    MIN_PAIR = "min_pair"
-    KTH_LARGEST = "kth_largest"
-    TOPK_RANDOM = "topk_random"
-
-
-@dataclass(frozen=True)
-class GainDistribution:
-    """One distribution from the bottleneck-gain family, with sampling oracle.
-
-    ``j_or_k`` is the rank for KTH_LARGEST, the selection-set size for
-    TOPK_RANDOM, and ignored (validated as 1 <= j_or_k <= n) for MIN_PAIR.
-    """
-
-    kind: GainKind
-    n: int
-    j_or_k: int = 1
-
-    def __post_init__(self):
-        _validate_rank(self.j_or_k, self.n, "j_or_k")
-
-    def cdf(self, x):
-        if self.kind is GainKind.MIN_PAIR:
-            return min_pair_cdf(x)
-        if self.kind is GainKind.KTH_LARGEST:
-            return kth_largest_cdf(x, self.j_or_k, self.n)
-        return topk_random_cdf(x, self.j_or_k, self.n)
-
-    def pdf(self, x):
-        if self.kind is GainKind.MIN_PAIR:
-            return min_pair_pdf(x)
-        if self.kind is GainKind.KTH_LARGEST:
-            return kth_largest_pdf(x, self.j_or_k, self.n)
-        return topk_random_pdf(x, self.j_or_k, self.n)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        if self.kind is GainKind.MIN_PAIR:
-            return sample_min_pair(rng, size)
-        if self.kind is GainKind.KTH_LARGEST:
-            return sample_kth_largest(self.n, self.j_or_k, rng, size)
-        return sample_topk_random(self.n, self.j_or_k, rng, size)

@@ -37,7 +37,6 @@ __all__ = [
     "jammer_set",
     "execute_trial",
     "run_trial",
-    "combine_hop_outages",
 ]
 
 
@@ -173,10 +172,3 @@ def execute_trial(instance: NetworkInstance, params: ProtocolParams, rng: np.ran
 def run_trial(params: ProtocolParams, rng: np.random.Generator) -> TrialOutcome:
     """Realize a fresh network and execute one trial on it."""
     return execute_trial(realize_network(params, rng), params, rng)
-
-
-def combine_hop_outages(p1: float, p2: float) -> float:
-    """Two-hop outage composition under link independence: p1 + p2 - p1*p2."""
-    if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-        raise ValueError("hop outage probabilities must lie in [0, 1]")
-    return p1 + p2 - p1 * p2

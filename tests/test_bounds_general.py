@@ -18,7 +18,6 @@ from twohopsec.bounds_general import (
     tau_max_general,
     tau_min_general,
     transmission_bound_general,
-    transmission_bound_general_tight,
 )
 
 mp.mp.dps = 40
@@ -214,13 +213,6 @@ class TestTransmissionBoundGeneral:
     def test_radius_over_probability_cap(self):
         with pytest.raises(ValueError, match="p_region"):
             transmission_bound_general(5, 2, 0.8, 1.0, 0.1, ALPHA, DELTA)
-
-    def test_tight_variant_never_looser(self):
-        for tau in (0.0, 0.05, 0.2, 1.0):
-            for k in (1, 2, 4):
-                loose = transmission_bound_general(6, k, 0.3, 1.0, tau, ALPHA, DELTA)
-                tight = transmission_bound_general_tight(6, k, 0.3, 1.0, tau, ALPHA, DELTA)
-                assert tight <= loose + 1e-12
 
     def test_corollary_sentinel_full_coverage(self):
         # with the probability override at 1 and k = n the bound depends on

@@ -275,31 +275,54 @@ class TestNonFiniteInput:
 
 
 class TestGoldenCounts:
-    """Outage cells of three fixed-seed runs, pinned so that any change to the
-    geometry, the draws or the comparisons of the engine shows up here."""
+    """Estimate cells of three fixed-seed runs, pinned so that any change to the
+    geometry, the draws, the relay selection or the comparisons of the engine
+    shows up here.  Each row is (p_t_hat, p_t_lo, p_t_hi), (p_s_hat, p_s_lo,
+    p_s_hi), (jain, entropy, no_candidate_rate): the load-balance cells come
+    from the selection histogram, so a wrong relay index shows even when the
+    outage counts are right."""
 
+    COLUMNS = ("p_t_hat", "p_t_lo", "p_t_hi", "p_s_hat", "p_s_lo", "p_s_hi",
+               "jain", "entropy", "no_candidate_rate")
     RUNS = {
         "criterion-8 gamma_e sweep": (
             ["sweep", "--case", "general", "--n", "20", "--m", "10", "--k", "3", "--r", "0.4",
              "--tau", "0.5", "--sweep-param", "gamma_e", "--sweep-from", "0.25",
              "--sweep-to", "4", "--sweep-steps", "16", "--sweep-scale", "log",
              "--trials", "4096", "--seed", "12", "--no-bounds"],
-            [("0.97900390625", p_s) for p_s in (
-                "0.967529296875", "0.946533203125", "0.9208984375", "0.887939453125",
-                "0.84619140625", "0.7978515625", "0.740966796875", "0.686767578125",
-                "0.628662109375", "0.57421875", "0.512939453125", "0.45947265625",
-                "0.404296875", "0.35791015625", "0.314208984375", "0.281494140625")],
+            [(("0.97900390625", "0.9741435999816663", "0.9829665808419419"), p_s,
+              ("0.9967997300232665", "0.9994607769193974", "0.0")) for p_s in (
+                ("0.967529296875", "0.9616480425458757", "0.972534422427218"),
+                ("0.946533203125", "0.9392159931236856", "0.9530136300803813"),
+                ("0.9208984375", "0.9122330806334249", "0.9287750497131095"),
+                ("0.887939453125", "0.8779134489616865", "0.8972384762823059"),
+                ("0.84619140625", "0.8348192165226498", "0.8569148489247898"),
+                ("0.7978515625", "0.7852762321354745", "0.8098687324949037"),
+                ("0.740966796875", "0.7273287184125798", "0.754153314448226"),
+                ("0.686767578125", "0.672394299195718", "0.7007908630520191"),
+                ("0.628662109375", "0.613751416646233", "0.6433316951244303"),
+                ("0.57421875", "0.5590135580755022", "0.5892848593405919"),
+                ("0.512939453125", "0.49762740688777457", "0.5282272514117419"),
+                ("0.45947265625", "0.4442558977090919", "0.47476536120185664"),
+                ("0.404296875", "0.3893642121537994", "0.4194088811780791"),
+                ("0.35791015625", "0.3433686549692131", "0.37271792747760646"),
+                ("0.314208984375", "0.3001727958569711", "0.328593336861293"),
+                ("0.281494140625", "0.2679311431329104", "0.2954666082243122"))],
         ),
         "general n=100 m=50": (
             ["simulate", "--case", "general", "--n", "100", "--m", "50", "--k", "3",
              "--r", "0.3", "--tau", "0.1", "--gamma-r", "0.3", "--gamma-e", "2.0",
              "--alpha", "3.5", "--trials", "1500", "--seed", "5"],
-            [("0.6466666666666666", "0.952")],
+            [(("0.6466666666666666", "0.6221300756908744", "0.6704539579645389"),
+              ("0.952", "0.9399798382607142", "0.9617109563682417"),
+              ("0.9512937595129376", "0.9943084301226675", "0.0"))],
         ),
         "equal": (
             ["simulate", "--case", "equal", "--n", "6", "--m", "3", "--k", "2", "--tau", "0.3",
              "--trials", "10000", "--seed", "9"],
-            [("0.055", "0.8295")],
+            [(("0.055", "0.05070013939854093", "0.059641619151361236"),
+              ("0.8295", "0.8220029364122559", "0.8367440086614684"),
+              ("0.999824270886149", "0.9999510803821307", "0.0"))],
         ),
     }
 
@@ -309,7 +332,30 @@ class TestGoldenCounts:
         out = tmp_path / "golden.csv"
         assert run_cli([*argv, "--out", str(out)]) == 0
         _, rows = read_rows(out)
-        assert [(r["p_t_hat"], r["p_s_hat"]) for r in rows] == cells
+        expected = [sum(groups, ()) for groups in cells]
+        assert [tuple(r[c] for c in self.COLUMNS) for r in rows] == expected
+
+
+class TestNumericFailure:
+    """An input that would make the engine count a NaN or overflowed SINR
+    exits cleanly instead of printing a result."""
+
+    GENERAL = ["simulate", "--case", "general", "--n", "10", "--m", "5", "--trials", "2000",
+               "--seed", "1"]
+
+    def test_overflowing_path_loss_is_a_configuration_error(self, capsys):
+        # max(d, delta)^-alpha overflows: it used to give p_t_hat = 0.0 (0.355 at alpha = 3)
+        assert run_cli([*self.GENERAL, "--alpha", "300"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "configuration error" in err
+
+    @pytest.mark.parametrize("es", ["1e305", "1e306"])
+    def test_overflowing_power_is_a_numeric_failure(self, es, capsys):
+        # es * gain * path loss overflows; this used to count NaN SINRs (1e306)
+        # or +inf signals over finite interference (1e305)
+        assert run_cli([*self.GENERAL, "--es", es]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "numeric failure" in err
 
 
 class TestLargeAndLimitInputs:

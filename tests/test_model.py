@@ -77,6 +77,15 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             make_params(**{field: -math.inf})
 
+    def test_path_loss_that_overflows_rejected(self):
+        # 0.05^-300 is past the float range: the engine would form inf
+        # path losses and 0 * inf = NaN interference
+        with pytest.raises(ValueError, match="overflows"):
+            make_params(alpha=300.0)
+        assert make_params(alpha=200.0).alpha == 200.0
+        # max(1, delta)^-alpha <= 1 in the equal case
+        assert make_params(case=Case.EQUAL_PATH_LOSS, alpha=300.0).alpha == 300.0
+
     def test_unbounded_radius_and_threshold_accepted(self):
         p = make_params(r=math.inf, tau=math.inf)
         assert math.isinf(p.r) and math.isinf(p.tau)

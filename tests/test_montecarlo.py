@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from twohopsec import montecarlo
@@ -16,7 +16,8 @@ from twohopsec.model import Case, ConfigurationError, ProtocolParams
 from twohopsec.montecarlo import (
     BATCH_SIZE,
     _count_below,
-    _select,
+    _pick_among_best,
+    _reduce,
     compare,
     estimate,
     load_balance,
@@ -243,10 +244,62 @@ def test_fixed_seed_outage_curves_are_monotone(gamma_r, gamma_e, seed, general):
     assert all(a >= b for a, b in zip(p_s, p_s[1:]))
 
 
+class TestNumericFailure:
+    def test_nan_sinr_is_never_counted(self):
+        # a NaN compares false with every threshold: it would count as no outage
+        grid = np.array([1.0])
+        jstar, c = np.zeros(3, dtype=np.int64), np.array([1, 1, 1])
+        finite = np.array([0.5, 2.0, 3.0])
+        for bottleneck, eav_max in ((np.array([0.5, np.nan, 3.0]), finite),
+                                    (finite, np.array([np.nan, 2.0, 3.0]))):
+            with pytest.raises(FloatingPointError):
+                _reduce(2, bottleneck, eav_max, jstar, c, grid, grid)
+        counts = _reduce(2, finite, finite, jstar, c, grid, grid)
+        assert (counts[0].tolist(), counts[1].tolist()) == ([1], [2])
+
+    def test_overflowing_signal_power_raises(self):
+        # es * gain * path loss passes the float range while the interference
+        # stays finite: the SINR would read +inf instead of a finite value
+        with pytest.raises(FloatingPointError):
+            estimate(general_params(n=10, m=5, es=1e305), 2000, seed=1)
+
+
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(general=st.booleans(), n=st.integers(0, 5), m=st.integers(0, 4), k=st.integers(1, 5),
+       r=st.one_of(st.floats(0.0, 1.0), st.just(math.inf)),
+       tau=st.one_of(st.floats(0.0, 50.0), st.just(math.inf)),
+       gamma_r=_positive, gamma_e=_positive, alpha=st.floats(2.0, 400.0),
+       d0=st.floats(0.0, 2.0), delta=st.floats(1e-3, 2.0),
+       es=st.floats(min_value=1e-300, max_value=1.7e308), n0=_positive,
+       trials=st.integers(1, 300), seed=st.integers(0, 2**16))
+def test_accepted_parameters_give_probabilities_or_a_clean_error(
+        general, n, m, k, r, tau, gamma_r, gamma_e, alpha, d0, delta, es, n0, trials, seed):
+    try:
+        params = ProtocolParams(
+            n=n, m=m, k=min(k, n), r=r, tau=tau, gamma_r=gamma_r, gamma_e=gamma_e,
+            alpha=alpha, d0=d0, es=es, n0=n0, delta=delta,
+            case=Case.DISTANCE_DEPENDENT if general else Case.EQUAL_PATH_LOSS)
+    except ValueError:
+        assume(False)
+    try:
+        rep = estimate(params, trials, seed, batch_size=128)
+    except FloatingPointError:
+        event("numeric failure")
+        return
+    for p in (rep.p_t_hat, rep.p_s_hat, rep.no_candidate_rate):
+        assert 0.0 <= p <= 1.0
+    for lo, hi in (rep.ci_t, rep.ci_s):
+        assert 0.0 <= lo <= hi <= 1.0
+
+
 class TestEavesdropperChunks:
-    """The eavesdropper stage walks each batch in trial chunks and draws the
-    relay->eavesdropper gains chunk by chunk; the chunk size must not change
-    a single count."""
+    """The post-draw stages walk each batch in trial chunks, and the
+    eavesdropper stage walks each chunk in tiles, drawing the
+    relay->eavesdropper gains tile by tile; neither size may change a single
+    count."""
 
     CONFIGS = {
         "equal": equal_params(n=6, m=3, k=2, tau=0.4),
@@ -256,9 +309,13 @@ class TestEavesdropperChunks:
         "k = n": general_params(n=5, m=4, k=5, tau=0.6, r=0.45),
         "equal k = n": equal_params(n=5, m=4, k=5, tau=0.6),
     }
-    # tile budgets: one trial per chunk, 7 trials (a partial last chunk in
-    # every batch), and more than a whole batch
-    BUDGETS = {"one trial": 1, "seven trials": 7, "whole batch": 4 * BATCH_SIZE}
+    # budgets in trials per eavesdropper tile (_CHUNK_ELEMS / (n*m)); a stage
+    # chunk holds _CHUNK_ELEMS // max(n, m) trials.  One trial per tile; 7
+    # trials (a partial last tile in every batch); 7.5, where chunks end in
+    # partial tiles and batches in partial chunks (n=6, m=3: 22-trial chunks
+    # of 7-trial tiles, 4096 = 186 * 22 + 4); more than a whole batch.
+    BUDGETS = {"one trial": 1, "seven trials": 7, "partial tiles and chunks": 7.5,
+               "whole batch": 4 * BATCH_SIZE}
 
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_reports_do_not_depend_on_the_chunk_size(self, monkeypatch, name):
@@ -272,7 +329,7 @@ class TestEavesdropperChunks:
         default = reports()
         for budget, chunk_trials in self.BUDGETS.items():
             monkeypatch.setattr(montecarlo, "_CHUNK_ELEMS",
-                                chunk_trials * params.n * max(params.m, 1))
+                                int(chunk_trials * params.n * max(params.m, 1)))
             for a, b in zip(default, reports()):
                 assert_same_report(a, b)
 
@@ -293,7 +350,7 @@ class TestEavesdropperChunks:
         w_eff = np.where(in_region, w, -np.inf)
         region_count = in_region.sum(axis=1)
         pick_u = rng.random(size)
-        jstar, c = _select(w_eff, k, region_count, pick_u)
+        jstar, c = _pick_among_best(w_eff, k, region_count, pick_u)
 
         order = np.argsort(-w_eff, axis=1, kind="stable")
         c_ref = np.minimum(k, region_count)
@@ -318,18 +375,35 @@ def _traced_peak_mib(fn) -> float:
 
 
 class TestEngineMemory:
-    """Only (batch, n) and (batch, m) arrays scale with the batch; the
-    relay x eavesdropper tensor is walked in cache-sized chunks."""
+    """A batch keeps its draws; everything else lives for one trial chunk.
+    The tracemalloc peak of ``estimate`` is the draws of one batch plus a
+    fixed allowance for the chunk's arrays and tiles (each about
+    _CHUNK_ELEMS float64 values, or one trial's n*m values when n*m is
+    larger)."""
+
+    ALLOWANCE = 32 * montecarlo._CHUNK_ELEMS * 8  # 8 MiB
+
+    @staticmethod
+    def draw_bytes(p, size):
+        # g_sr, g_dr, g_rr (size, n), pick_u (size,), g_se (size, m), and in
+        # the general case positions (size, n, 2), (size, m, 2)
+        per_trial = 3 * p.n + 1 + p.m + (2 * p.n + 2 * p.m if p.is_general else 0)
+        return size * per_trial * 8
+
+    def assert_within_allowance(self, p, trials):
+        peak = _traced_peak_mib(lambda: estimate(p, trials, seed=1))
+        assert peak <= (self.draw_bytes(p, trials) + self.ALLOWANCE) / 2**20
 
     def test_general_hundred_relays_fifty_eavesdroppers(self):
         # a whole (4096, 100, 50) tensor alone is 156 MiB
-        p = general_params(n=100, m=50, k=3, r=0.4, tau=0.5)
-        assert _traced_peak_mib(lambda: estimate(p, 4096, seed=1)) < 128
+        self.assert_within_allowance(general_params(n=100, m=50, k=3, r=0.4, tau=0.5), 4096)
 
     def test_general_two_hundred_relays_and_eavesdroppers(self):
-        # n*m exceeds one tile's budget, so every chunk is a single trial
-        p = general_params(n=200, m=200, k=3, r=0.4, tau=0.5)
-        assert _traced_peak_mib(lambda: estimate(p, 512, seed=1)) < 64
+        # n*m exceeds one tile's budget, so every tile is a single trial
+        self.assert_within_allowance(general_params(n=200, m=200, k=3, r=0.4, tau=0.5), 512)
+
+    def test_equal_hundred_relays_fifty_eavesdroppers(self):
+        self.assert_within_allowance(equal_params(n=100, m=50, k=3, tau=0.5), 4096)
 
 
 class TestEngineAgainstExactLaw:

@@ -10,8 +10,6 @@ from scipy.stats import kstest
 
 from twohopsec import orderstats
 from twohopsec.orderstats import (
-    GainDistribution,
-    GainKind,
     kth_largest_cdf,
     kth_largest_pdf,
     min_pair_cdf,
@@ -223,21 +221,6 @@ def test_cdf_properties(n, data, x1, x2):
     assert 0.0 <= a <= b <= 1.0
     assert topk_random_cdf(-1.0, k, n) == 0.0
     assert topk_random_cdf(60.0, k, n) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestGainDistribution:
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            GainDistribution(GainKind.KTH_LARGEST, n=3, j_or_k=4)
-        with pytest.raises(ValueError):
-            GainDistribution(GainKind.TOPK_RANDOM, n=0, j_or_k=1)
-
-    def test_dispatch(self):
-        d = GainDistribution(GainKind.TOPK_RANDOM, n=5, j_or_k=2)
-        assert d.cdf(0.3) == pytest.approx(topk_random_cdf(0.3, 2, 5))
-        assert d.pdf(0.3) == pytest.approx(topk_random_pdf(0.3, 2, 5))
-        draws = d.sample(np.random.default_rng(5), size=10)
-        assert draws.shape == (10,)
 
 
 class TestLogFactorialTable:

@@ -16,7 +16,6 @@ from twohopsec.model import (
 )
 from twohopsec.protocol import (
     CandidateSet,
-    combine_hop_outages,
     execute_trial,
     jammer_set,
     pick_relay,
@@ -294,18 +293,3 @@ class TestCaptureDiscs:
 
     def test_destination_is_not_a_capture_center(self):
         assert not self.run_with_eave_at([0.48, 0.0]).s_outage
-
-
-class TestCombine:
-    def test_corners(self):
-        assert combine_hop_outages(0.0, 0.0) == 0.0
-        assert combine_hop_outages(1.0, 0.37) == pytest.approx(1.0)
-
-    def test_arithmetic(self):
-        assert combine_hop_outages(0.3, 0.4) == pytest.approx(0.58)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            combine_hop_outages(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            combine_hop_outages(0.1, 1.5)

@@ -28,7 +28,6 @@ __all__ = [
     "disc_square_overlap",
     "channel_survival_base",
     "region_sums",
-    "nu_coeffs",
     "transmission_bound_general",
     "secrecy_bound_general",
     "tau_max_general",
@@ -160,14 +159,6 @@ def geometry_integrals(
         prev = cur
 
 
-def _integrals_for(alpha, delta, integrals, resolution):
-    if integrals is not None:
-        return integrals
-    if resolution is None:
-        return geometry_integrals(alpha, delta)
-    return geometry_integrals(alpha, delta, resolution)
-
-
 def disc_square_overlap(r: float) -> float:
     """Exact area of the radius-r disc at the square center clipped to the unit square."""
     if r < 0:
@@ -234,12 +225,6 @@ def region_sums(n: int, k: int, r: float, p_region=None):
     return _binom_sums(n, k, _region_probability(n, k, r, p_region))
 
 
-def nu_coeffs(n: int, k: int, r: float, p_region=None):
-    """k^2-scaled binomial masses of the in-region relay count, split at k."""
-    s1, s2 = region_sums(n, k, r, p_region)
-    return k * k * s1, k * k * s2
-
-
 def transmission_bound_general(
     n: int,
     k: int,
@@ -250,7 +235,6 @@ def transmission_bound_general(
     delta: float,
     p_region=None,
     integrals: GeometryIntegrals | None = None,
-    resolution=None,
     sums=None,
 ) -> float:
     """Upper bound on transmission outage in the distance-dependent case.
@@ -259,7 +243,7 @@ def transmission_bound_general(
     with L the binomial in-region relay count and U the survival base.
     ``sums`` is ``region_sums(n, k, r, p_region)`` when already known.
     """
-    geo = _integrals_for(alpha, delta, integrals, resolution)
+    geo = geometry_integrals(alpha, delta) if integrals is None else integrals
     s1, s2 = region_sums(n, k, r, p_region) if sums is None else sums
     u = channel_survival_base(n, gamma_r, tau, r, alpha)
     phi = geo.hop_sum
@@ -276,7 +260,6 @@ def secrecy_bound_general(
     alpha: float,
     delta: float,
     integrals: GeometryIntegrals | None = None,
-    resolution=None,
 ) -> SaturatingBound:
     """Upper bound on secrecy outage: 2mW - (mW)^2 with capture-disc floor.
 
@@ -287,7 +270,7 @@ def secrecy_bound_general(
     cap = math.pi * d0 * d0
     if cap > 1.0:
         raise ValueError("pi*d0^2 exceeds 1; capture disc larger than the network")
-    geo = _integrals_for(alpha, delta, integrals, resolution)
+    geo = geometry_integrals(alpha, delta) if integrals is None else integrals
     base = 1.0 / (1.0 + gamma_e * geo.corner * d0**alpha)
     w = cap + base ** ((n - 1) * (-math.expm1(-tau))) * (1.0 - cap)
     x = m * w
@@ -297,8 +280,8 @@ def secrecy_bound_general(
 def _survival_target(k: int, eps_t: float, sums) -> float | None:
     """Smallest admissible value of U^(phi1+phi2), or None when unreachable.
 
-    ``sums`` is ``region_sums(n, k, r, p_region)``; the k^2-scaled masses
-    are those of ``nu_coeffs``.
+    ``sums`` is ``region_sums(n, k, r, p_region)``; nu1 and nu2 are its
+    k^2-scaled masses.
     """
     s1, s2 = sums
     nu1, nu2 = k * k * s1, k * k * s2
@@ -325,7 +308,6 @@ def tau_max_general(
     eps_t: float,
     p_region=None,
     integrals: GeometryIntegrals | None = None,
-    resolution=None,
     sums=None,
 ):
     """Largest jamming threshold keeping the transmission bound within eps_t.
@@ -340,7 +322,7 @@ def tau_max_general(
     _check_eps(eps_t, "eps_t")
     if gamma_r <= 0:
         raise ValueError("gamma_r must be positive")
-    geo = _integrals_for(alpha, delta, integrals, resolution)
+    geo = geometry_integrals(alpha, delta) if integrals is None else integrals
     sums = region_sums(n, k, r, p_region) if sums is None else sums
     u_star = _survival_target(k, eps_t, sums)
     if u_star is None:
@@ -360,7 +342,6 @@ def tau_min_general(
     delta: float,
     eps_s: float,
     integrals: GeometryIntegrals | None = None,
-    resolution=None,
 ):
     """Smallest jamming threshold keeping the secrecy bound within eps_s.
 
@@ -381,7 +362,7 @@ def tau_min_general(
     ratio = budget / (1.0 - cap)
     if ratio >= 1.0:
         return 0.0
-    geo = _integrals_for(alpha, delta, integrals, resolution)
+    geo = geometry_integrals(alpha, delta) if integrals is None else integrals
     level = gamma_e * geo.corner * d0**alpha
     if level == 0.0:
         return None
@@ -404,7 +385,6 @@ def max_eaves_general(
     eps_s: float,
     p_region=None,
     integrals: GeometryIntegrals | None = None,
-    resolution=None,
     sums=None,
 ):
     """Tolerable eavesdropper count in the distance-dependent case.
@@ -421,7 +401,7 @@ def max_eaves_general(
     cap = math.pi * d0 * d0
     if cap >= 1.0:
         raise ValueError("pi*d0^2 must be below 1")
-    geo = _integrals_for(alpha, delta, integrals, resolution)
+    geo = geometry_integrals(alpha, delta) if integrals is None else integrals
     sums = region_sums(n, k, r, p_region) if sums is None else sums
     u_star = _survival_target(k, eps_t, sums)
     if u_star is None:

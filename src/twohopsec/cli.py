@@ -39,7 +39,6 @@ CSV_HEADER = (
 )
 
 _SWEEPABLE = ("r", "k", "tau", "n", "m", "gamma_r", "gamma_e")
-_INT_PARAMS = ("k", "n", "m")
 _THRESHOLDS = ("gamma_r", "gamma_e")
 
 
@@ -117,10 +116,12 @@ class SweepSpec:
 def _as_float(value, name: str) -> float:
     if isinstance(value, str) and value.strip().lower() in ("inf", "+inf", "infinity"):
         return math.inf
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"field {name!r} must be a number, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"field {name!r} must be a number, got {value!r}")
 
 
 def _as_int(value, name: str) -> int:
@@ -128,19 +129,30 @@ def _as_int(value, name: str) -> int:
         iv = int(value)
     except (TypeError, ValueError):
         raise ValueError(f"field {name!r} must be an integer, got {value!r}") from None
-    if isinstance(value, float) and value != iv:
+    if isinstance(value, bool) or (isinstance(value, float) and value != iv):
         raise ValueError(f"field {name!r} must be an integer, got {value!r}")
     return iv
 
 
-_FLOAT_FIELDS = ("r", "tau", "gamma_r", "gamma_e", "alpha", "d0", "es", "eps_t", "eps_s")
-_OPT_FLOAT_FIELDS = ("n0", "delta")
-_INT_FIELDS = ("n", "m", "k", "trials", "seed")
+def _as_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"field {name!r} must be a string, got {value!r}")
+    return value
+
+
+def _as_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"field {name!r} must be true or false, got {value!r}")
+    return value
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration; defaults mirror the worked example scenario."""
+    """Fully resolved run configuration; defaults mirror the worked example scenario.
+
+    Its fields are the only list of configuration names (YAML keys, config
+    comment, the flags ``load_config`` reads); each annotation picks a converter.
+    """
 
     case: str = "equal"
     n: int = 5
@@ -165,40 +177,27 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         d = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if f.name == "sweep":
+        for name in _CONFIG_FIELDS:
+            v = getattr(self, name)
+            if name == "sweep":
                 d["sweep"] = v.to_dict() if v is not None else None
             elif isinstance(v, float) and math.isinf(v):
-                d[f.name] = "inf"
+                d[name] = "inf"
             else:
-                d[f.name] = v
+                d[name] = v
         return d
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ValueError("configuration must be a mapping of key-value pairs")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = data.keys() - _CONFIG_FIELDS.keys()
         if unknown:
             raise ValueError(f"unknown config field {sorted(unknown)[0]!r}")
         kwargs = {}
         for name, value in data.items():
-            if value is None and name in (
-                "n0", "delta", "sweep", "out",
-            ):
-                kwargs[name] = None
-            elif name == "sweep":
-                kwargs[name] = SweepSpec.from_dict(value)
-            elif name in _FLOAT_FIELDS or name in _OPT_FLOAT_FIELDS:
-                kwargs[name] = _as_float(value, name)
-            elif name in _INT_FIELDS:
-                kwargs[name] = _as_int(value, name)
-            elif name == "exact_region":
-                kwargs[name] = bool(value)
-            else:
-                kwargs[name] = value
+            convert, optional = _CONFIG_FIELDS[name]
+            kwargs[name] = None if value is None and optional else convert(value, name)
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -211,29 +210,29 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError("field 'seed' must be nonnegative")
 
-    def protocol_params(self, **overrides) -> ProtocolParams:
-        vals = dict(
-            n=self.n,
-            m=self.m,
-            k=self.k,
-            r=self.r,
-            tau=self.tau,
-            gamma_r=self.gamma_r,
-            gamma_e=self.gamma_e,
-            alpha=self.alpha,
-            d0=self.d0,
-            es=self.es,
-            n0=self.n0,
-            delta=self.delta,
-            case=Case(self.case),
-        )
-        vals.update(overrides)
-        return ProtocolParams(**vals)
+    def protocol_params(self) -> ProtocolParams:
+        return ProtocolParams(**{name: getattr(self, name) for name in _PARAM_FIELDS},
+                              case=Case(self.case))
 
     def p_region(self, params: ProtocolParams):
         if self.exact_region and params.is_general and math.isfinite(params.r):
             return disc_square_overlap(params.r)
         return None
+
+
+# Derived at import, so a CLI call runs no dataclasses.fields().  Each field's
+# annotation picks its converter, and "T | None" also takes None.
+_CONVERTERS = {"int": _as_int, "float": _as_float, "bool": _as_bool, "str": _as_str,
+               "SweepSpec": lambda value, name: SweepSpec.from_dict(value)}
+_CONFIG_FIELDS = {
+    f.name: (_CONVERTERS[f.type.split(" | ")[0]], f.type.endswith(" | None"))
+    for f in dataclasses.fields(RunConfig)
+}
+_PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ProtocolParams) if f.name != "case")
+_INT_PARAMS = tuple(name for name in _SWEEPABLE if _CONFIG_FIELDS[name][0] is _as_int)
+# The scenario columns that open every CSV row, read off the row's ProtocolParams
+# (or off its RunConfig when the parameters were rejected).
+_PARAM_COLUMNS = CSV_HEADER.split(",trials,")[0].split(",")
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -249,32 +248,25 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ValueError("config file must contain a mapping of key-value pairs")
         data.update(loaded)
-    for name in (
-        "case", "n", "m", "k", "r", "tau", "gamma_r", "gamma_e", "alpha",
-        "d0", "es", "n0", "delta", "eps_t", "eps_s", "trials", "seed", "out",
-    ):
+    for name in _CONFIG_FIELDS:
+        # every field but sweep has a flag of its own name; an unset flag is None
         value = getattr(args, name, None)
         if value is not None:
             data[name] = value
-    if getattr(args, "exact_region", False):
-        data["exact_region"] = True
-    sweep_param = getattr(args, "sweep_param", None)
-    if sweep_param is not None:
-        data["sweep"] = {
-            "param": sweep_param,
-            "from": getattr(args, "sweep_from", None),
-            "to": getattr(args, "sweep_to", None),
-            "steps": getattr(args, "sweep_steps", None) or 1,
-            "scale": getattr(args, "sweep_scale", None) or "linear",
-        }
-        if data["sweep"]["from"] is None or data["sweep"]["to"] is None:
+    if getattr(args, "sweep_param", None) is not None:
+        if args.sweep_from is None or args.sweep_to is None:
             raise ValueError("sweep requires --sweep-from and --sweep-to")
+        data["sweep"] = {"param": args.sweep_param, "from": args.sweep_from,
+                         "to": args.sweep_to, "steps": args.sweep_steps,
+                         "scale": args.sweep_scale}
     return RunConfig.from_dict(data)
 
 
 def _cell(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, Case):
+        return value.value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -288,20 +280,14 @@ def _cell(value) -> str:
 
 
 def _csv_row(
-    fields: dict,
+    scenario: ProtocolParams | RunConfig,
     trials,
     seed,
     est: EstimateReport | None,
     bnd: BoundReport | None,
     error: bool = False,
 ) -> str:
-    cells = [
-        _cell(fields.get(name))
-        for name in (
-            "case", "n", "m", "k", "r", "tau", "gamma_r", "gamma_e",
-            "alpha", "d0", "delta",
-        )
-    ]
+    cells = [_cell(getattr(scenario, name)) for name in _PARAM_COLUMNS]
     cells.append(_cell(trials if est is not None else None))
     cells.append(_cell(seed if est is not None else None))
     if est is not None:
@@ -333,22 +319,6 @@ def _csv_row(
     else:
         cells.append("")
     return ",".join(cells)
-
-
-def _row_fields(config: RunConfig, params: ProtocolParams | None) -> dict:
-    if params is not None:
-        return {
-            "case": params.case.value, "n": params.n, "m": params.m, "k": params.k,
-            "r": params.r, "tau": params.tau, "gamma_r": params.gamma_r,
-            "gamma_e": params.gamma_e, "alpha": params.alpha, "d0": params.d0,
-            "delta": params.delta,
-        }
-    return {
-        "case": config.case, "n": config.n, "m": config.m, "k": config.k,
-        "r": config.r, "tau": config.tau, "gamma_r": config.gamma_r,
-        "gamma_e": config.gamma_e, "alpha": config.alpha, "d0": config.d0,
-        "delta": config.delta,
-    }
 
 
 def _emit_csv(config: RunConfig, rows: list, stream) -> None:
@@ -424,7 +394,7 @@ def _estimate_report_text(est: EstimateReport) -> str:
 def cmd_bounds(config: RunConfig, want_report: bool) -> int:
     params = config.protocol_params()
     bnd = evaluate_bounds(params, config.eps_t, config.eps_s, config.p_region(params))
-    row = _csv_row(_row_fields(config, params), None, None, None, bnd)
+    row = _csv_row(params, None, None, None, bnd)
     _write_output(config, [row], _bounds_report_text(bnd) if want_report else None)
     return 0
 
@@ -432,7 +402,7 @@ def cmd_bounds(config: RunConfig, want_report: bool) -> int:
 def cmd_simulate(config: RunConfig, want_report: bool, workers: int = 1) -> int:
     params = config.protocol_params()
     est = estimate(params, config.trials, config.seed, workers=workers)
-    row = _csv_row(_row_fields(config, params), config.trials, config.seed, est, None)
+    row = _csv_row(params, config.trials, config.seed, est, None)
     _write_output(config, [row], _estimate_report_text(est) if want_report else None)
     return 0
 
@@ -500,7 +470,7 @@ def cmd_sweep(config: RunConfig, want_report: bool, with_bounds: bool,
         est, bnd = point.est, point.bnd
         rows.append(
             _csv_row(
-                _row_fields(point.config, point.params),
+                point.params or point.config,
                 config.trials if est is not None else None,
                 config.seed if est is not None else None,
                 est,
@@ -531,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML configuration file")
     common.add_argument("--case", choices=["equal", "general"])
-    for name in ("n", "m", "k", "trials", "seed", "workers"):
+    for name in ("n", "m", "k", "trials", "seed"):
         common.add_argument(f"--{name}", type=int)
+    common.add_argument("--workers", type=int, default=1)
     for flag, dest in (
         ("--r", "r"), ("--tau", "tau"), ("--gamma-r", "gamma_r"),
         ("--gamma-e", "gamma_e"), ("--alpha", "alpha"), ("--d0", "d0"),
@@ -541,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         common.add_argument(flag, dest=dest, type=float)
     common.add_argument("--out", help="write the CSV to this path")
-    common.add_argument("--exact-region", action="store_true", default=False,
+    common.add_argument("--exact-region", action="store_true", default=None,
                         help="use the exact disc-square overlap as region probability")
     common.add_argument("--report", action="store_true",
                         help="print a human-readable summary instead of CSV on stdout")
@@ -559,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sweep-param", choices=list(_SWEEPABLE))
     sweep.add_argument("--sweep-from", type=float)
     sweep.add_argument("--sweep-to", type=float)
-    sweep.add_argument("--sweep-steps", type=int)
-    sweep.add_argument("--sweep-scale", choices=["linear", "log"])
+    sweep.add_argument("--sweep-steps", type=int, default=1)
+    sweep.add_argument("--sweep-scale", choices=["linear", "log"], default="linear")
     sweep.add_argument("--no-bounds", action="store_true", help="skip bound evaluation")
     sweep.add_argument("--no-sim", action="store_true", help="skip Monte Carlo estimation")
     return parser
@@ -570,14 +541,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
+        if args.workers < 1:
+            raise ValueError("--workers must be at least 1")
         if args.command in ("bounds", "tau-range", "max-eaves"):
             return cmd_bounds(config, args.report)
-        workers = args.workers or 1
         if args.command == "simulate":
-            return cmd_simulate(config, args.report, workers)
+            return cmd_simulate(config, args.report, args.workers)
         return cmd_sweep(
             config, args.report, with_bounds=not args.no_bounds,
-            with_sim=not args.no_sim, workers=workers,
+            with_sim=not args.no_sim, workers=args.workers,
         )
     except (QuadratureError, FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,11 +53,6 @@ def relay_node(j: int):
 
 def eave_node(i: int):
     return ("E", int(i))
-
-
-# NaN is rejected in every one of these; infinity only where it means something
-# (an unbounded selection radius r, a jamming threshold tau that every relay meets).
-_FLOAT_FIELDS = ("r", "tau", "gamma_r", "gamma_e", "alpha", "d0", "es", "n0", "delta")
 
 
 @dataclass(frozen=True)
@@ -139,6 +134,11 @@ class ProtocolParams:
     @property
     def is_general(self) -> bool:
         return self.case is Case.DISTANCE_DEPENDENT
+
+
+# NaN is rejected in every float field; infinity only where it means something
+# (an unbounded selection radius r, a jamming threshold tau that every relay meets).
+_FLOAT_FIELDS = tuple(f.name for f in fields(ProtocolParams) if f.type.startswith("float"))
 
 
 @dataclass

@@ -418,6 +418,8 @@ def estimate(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     if params.n0 == 0:

@@ -58,7 +58,6 @@ def evaluate_bounds(
     eps_t: float,
     eps_s: float,
     p_region=None,
-    resolution=None,
 ) -> BoundReport:
     """Evaluate all bounds for ``params``, dispatching on the path-loss case.
 
@@ -67,7 +66,7 @@ def evaluate_bounds(
     """
     p = params
     if p.is_general:
-        geo = bgen._integrals_for(p.alpha, p.delta, None, resolution)
+        geo = bgen.geometry_integrals(p.alpha, p.delta)
         # the binomial masses of the in-region relay count, shared by three bounds
         sums = bgen.region_sums(p.n, p.k, p.r, p_region)
         bound_t = bgen.transmission_bound_general(

@@ -13,7 +13,7 @@ from twohopsec.bounds_general import (
     disc_square_overlap,
     geometry_integrals,
     max_eaves_general,
-    nu_coeffs,
+    region_sums,
     secrecy_bound_general,
     tau_max_general,
     tau_min_general,
@@ -116,24 +116,26 @@ class TestSurvivalBase:
 
 
 class TestNuCoeffs:
+    """The in-region masses behind nu1 = k^2 P(1 <= L <= k) and nu2 = k^2 P(L > k)."""
+
     def test_zero_radius(self):
-        assert nu_coeffs(4, 2, 0.0) == (0.0, 0.0)
+        assert region_sums(4, 2, 0.0) == (0.0, 0.0)
 
     def test_k_equals_n_upper_sum_empty(self):
-        nu1, nu2 = nu_coeffs(4, 4, 0.25)
-        assert nu2 == 0.0
+        s1, s2 = region_sums(4, 4, 0.25)
+        assert s2 == 0.0
 
     def test_hand_binomial_arithmetic(self):
         r = math.sqrt(0.25 / math.pi)  # pi r^2 = 0.25
-        nu1, nu2 = nu_coeffs(4, 2, r)
-        assert nu1 == pytest.approx(2.53125, rel=1e-9)
-        assert nu2 == pytest.approx(0.203125, rel=1e-9)
+        s1, s2 = region_sums(4, 2, r)
+        assert s1 == pytest.approx(2.53125 / 4, rel=1e-9)
+        assert s2 == pytest.approx(0.203125 / 4, rel=1e-9)
 
     def test_region_probability_cap(self):
         with pytest.raises(ValueError, match="p_region"):
-            nu_coeffs(4, 2, 0.7)
-        nu1, nu2 = nu_coeffs(4, 2, 0.7, p_region=disc_square_overlap(0.7))
-        assert nu1 > 0
+            region_sums(4, 2, 0.7)
+        s1, s2 = region_sums(4, 2, 0.7, p_region=disc_square_overlap(0.7))
+        assert s1 > 0
 
 
 def exact_binom_sums(n, ks, p):

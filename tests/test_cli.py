@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -134,6 +135,110 @@ class TestConfigHandling:
 
     def test_n1_is_config_error(self):
         assert run_cli(["bounds", "--n", "1", "--k", "1"]) == 2
+
+
+class TestConfigRoundTrip:
+    """Every RunConfig field, set through its flag, reparses from the CSV comment."""
+
+    # One non-default value per field; the flag is the field name with dashes.
+    VALUES = {
+        "case": "general", "n": 7, "m": 3, "k": 2, "r": 0.3, "tau": 0.7, "gamma_r": 0.5,
+        "gamma_e": 2.5, "alpha": 3.5, "d0": 0.02, "es": 2.0, "n0": 1e-3, "delta": 0.04,
+        "eps_t": 0.1, "eps_s": 0.05, "trials": 123, "seed": 42, "exact_region": True,
+        "sweep": SweepSpec(param="k", start=1.0, stop=3.0, steps=3, scale="log"),
+        "out": None,
+    }
+    # sweep needs a grid whenever the field under test is not the grid itself
+    GRID = ["--sweep-param", "tau", "--sweep-from", "0.1", "--sweep-to", "0.1"]
+
+    def test_every_field_has_a_value(self):
+        assert list(self.VALUES) == [f.name for f in dataclasses.fields(RunConfig)]
+
+    @pytest.mark.parametrize("name", list(VALUES))
+    def test_flag_round_trips(self, tmp_path, name):
+        out = tmp_path / "rt.csv"
+        value = self.VALUES[name]
+        argv = ["sweep", "--no-bounds", "--no-sim", "--out", str(out)]
+        expected = {"out": str(out), "sweep": SweepSpec(param="tau", start=0.1, stop=0.1,
+                                                         steps=1)}
+        if name == "sweep":
+            cfg = tmp_path / "sweep.yaml"
+            cfg.write_text(f"sweep: {json.dumps(value.to_dict())}\n")
+            argv += ["--config", str(cfg)]
+            expected["sweep"] = value
+        else:
+            argv += self.GRID
+            flag = "--" + name.replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif value is not None:
+                argv += [flag, str(value)]
+            if name != "out":
+                expected[name] = value
+        assert run_cli(argv) == 0
+        comment, _ = read_rows(out)
+        assert parse_config_comment(comment) == RunConfig(**expected)
+
+
+class TestCheckedInput:
+    """Values outside a field's type or range exit 2; nothing is coerced into range."""
+
+    @pytest.mark.parametrize("via_yaml", [False, True])
+    def test_zero_sweep_steps(self, tmp_path, via_yaml, capsys):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--trials", "100", "--no-bounds", "--out", str(out)]
+        if via_yaml:
+            cfg = tmp_path / "sweep.yaml"
+            cfg.write_text("sweep: {param: gamma_e, from: 1, to: 2, steps: 0}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--sweep-param", "gamma_e", "--sweep-from", "1", "--sweep-to", "2",
+                     "--sweep-steps", "0"]
+        assert run_cli(argv) == 2
+        assert "sweep.steps must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_workers_below_one(self, command, workers, capsys):
+        argv = [command, "--trials", "100", "--workers", workers]
+        if command == "sweep":
+            argv += ["--sweep-param", "gamma_e", "--sweep-from", "1", "--sweep-to", "2"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert "configuration error: --workers must be at least 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, code", [
+        ("exact_region: true", 0),
+        ("exact_region: false", 2),  # pi r^2 > 1 without the exact overlap
+        ("exact_region: 'false'", 2),
+        ("exact_region: 'true'", 2),
+        ("exact_region: 1", 2),
+    ])
+    def test_exact_region_takes_only_a_bool(self, tmp_path, text, code):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"case: general\nr: 0.8\n{text}\n")
+        assert run_cli(["bounds", "--config", str(cfg)]) == code
+
+    @pytest.mark.parametrize("name", ["n", "k", "trials", "tau", "n0", "eps_s"])
+    def test_numbers_reject_bools(self, tmp_path, name, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{name}: true\n")
+        assert run_cli(["bounds", "--config", str(cfg)]) == 2
+        assert f"field {name!r} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["out: 2", "out: true", "case: 1"])
+    def test_strings_take_only_strings(self, tmp_path, text, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{text}\n")
+        assert run_cli(["bounds", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "must be a string" in captured.err and captured.out == ""
+
+    def test_sweep_steps_reject_bools(self):
+        with pytest.raises(ValueError, match="'sweep.steps' must be an integer"):
+            RunConfig.from_dict({"sweep": {"param": "k", "from": 1, "to": 3, "steps": True}})
 
 
 class TestSweep:
@@ -435,8 +540,8 @@ class TestSetupImports:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
             "assert codes == [0] * len(codes), codes\n"
-            "print(' '.join(m for m in ('scipy', 'yaml', 'concurrent.futures.process')"
-            " if m in sys.modules))\n"
+            "print(' '.join(m for m in ('scipy', 'yaml', 'concurrent.futures.process',"
+            " 'twohopsec.protocol') if m in sys.modules))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -450,6 +555,30 @@ class TestSetupImports:
         cfg = tmp_path / "run.yaml"
         cfg.write_text("n: 6\n")
         assert self.loaded([["bounds", "--config", str(cfg)]]) == ["yaml"]
+
+    def test_readme_quick_start_imports(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        line = "from twohopsec import (Case, ProtocolParams, estimate, evaluate_bounds, compare)"
+        assert line in readme
+        names = {}
+        exec(line, names)
+        assert callable(names["estimate"]) and callable(names["compare"])
+
+
+class TestHelpText:
+    """--help prints the pinned bytes: the parser's flag list fixes their order."""
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["--help"], "help_twohopsec.txt"),
+        (["bounds", "--help"], "help_bounds.txt"),
+        (["sweep", "--help"], "help_sweep.txt"),
+    ])
+    def test_golden(self, argv, golden, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == (Path(__file__).parent / "golden" / golden).read_text()
 
 
 def test_memory_error_is_numeric_failure(monkeypatch, capsys):

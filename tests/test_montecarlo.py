@@ -165,6 +165,11 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(equal_params(), 0, seed=0)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_validation(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            estimate(equal_params(), 100, seed=0, workers=workers)
+
     def test_bound_dominance_with_traced_fallback(self):
         # At small tau the plain bound substitutes the mean jammer count
         # into a convex tail and can undershoot the simulation; the variant

@@ -34,9 +34,9 @@ print("beyond the candidate set and are penalized quadratically.\n")
 N, K, EPS = 5, 1, 0.3
 print(f"  {'r':>5} {'bound @ tau=0':>13} {'tau_max(eps=0.3)':>17} {'max eaves':>10}")
 for r in (0.1, 0.2, 0.3, 0.4, 0.5):
-    floor = transmission_bound_general(N, K, r, 1.0, 0.0, ALPHA, DELTA, integrals=geo)
-    tau_hi = tau_max_general(N, K, r, 1.0, ALPHA, DELTA, EPS, integrals=geo)
-    tol = max_eaves_general(N, K, r, 1.0, 1.0, D0, ALPHA, DELTA, EPS, EPS, integrals=geo)
+    floor = transmission_bound_general(N, K, r, 1.0, 0.0, ALPHA, DELTA)
+    tau_hi = tau_max_general(N, K, r, 1.0, ALPHA, DELTA, EPS)
+    tol = max_eaves_general(N, K, r, 1.0, 1.0, D0, ALPHA, DELTA, EPS, EPS)
     tau_txt = "infeasible" if tau_hi is None else f"{tau_hi:.5f}"
     tol_txt = "infeasible" if tol is None else f"{tol.bound:.4f}"
     print(f"  {r:>5.2f} {floor:>13.4f} {tau_txt:>17} {tol_txt:>10}")
@@ -46,8 +46,8 @@ for n, k, r, tau in ((5, 1, 0.3, 0.036), (10, 2, 0.4, 0.1), (10, 1, 0.3, 0.02)):
     p = ProtocolParams(n=n, m=1, k=k, r=r, tau=tau, gamma_r=1.0, gamma_e=1.0,
                        alpha=ALPHA, d0=D0, delta=DELTA, case=Case.DISTANCE_DEPENDENT)
     rep = estimate(p, 100_000, seed=3)
-    bt = transmission_bound_general(n, k, r, 1.0, tau, ALPHA, DELTA, integrals=geo)
-    bs = secrecy_bound_general(n, 1, 1.0, tau, D0, ALPHA, DELTA, integrals=geo)
+    bt = transmission_bound_general(n, k, r, 1.0, tau, ALPHA, DELTA)
+    bs = secrecy_bound_general(n, 1, 1.0, tau, D0, ALPHA, DELTA)
     ok_t = rep.p_t_hat <= bt + 3 * _standard_error(rep.ci_t)
     ok_s = rep.p_s_hat <= bs.effective + 3 * _standard_error(rep.ci_s)
     print(f"  n={n:>2} k={k} r={r} tau={tau}: "

@@ -22,7 +22,6 @@ from .orderstats import _binom_pmf, topk_random_cdf
 __all__ = [
     "SaturatingBound",
     "EavesTolerance",
-    "channel_survival",
     "transmission_bound_equal",
     "secrecy_bound_equal",
     "tau_max_equal",
@@ -71,43 +70,97 @@ def _check_eps(eps: float, name: str) -> None:
         raise ValueError(f"{name} must lie strictly between 0 and 1")
 
 
+def _check_reliability(n: int, k: int, gamma_r: float, eps_t: float) -> None:
+    """The inputs every tau_max and tolerance evaluation must satisfy."""
+    if n < 2:
+        raise ValueError("tau window requires n >= 2")
+    if not 1 <= k <= n:
+        raise ValueError("k must satisfy 1 <= k <= n")
+    _check_eps(eps_t, "eps_t")
+    if gamma_r <= 0:
+        raise ValueError("gamma_r must be positive")
+
+
+def _check_secrecy(n: int, gamma_e: float, eps_s: float) -> None:
+    """The inputs every tau_min and tolerance evaluation must satisfy."""
+    if n < 2:
+        raise ValueError("tau window requires n >= 2")
+    _check_eps(eps_s, "eps_s")
+    if gamma_e <= 0:
+        raise ValueError("gamma_e must be positive")
+
+
 def _secrecy_budget(eps_s: float) -> float:
     return 1.0 - math.sqrt(1.0 - eps_s)
 
 
-def _interference_level(n: int, gamma_r: float, tau: float) -> float:
-    """gamma_r * E[#jammers] * tau, the gain level a hop must beat.
+def _interception(m: int, level: float, J: float, cap: float = 0.0) -> SaturatingBound:
+    """The secrecy bound 2x - x^2 with x = m * (cap + (1 - cap) / (1 + level)^J).
 
-    A lone relay has no one to jam it, also at tau = inf where the product
-    would be 0 * inf.
+    ``J`` is the number of jammers an eavesdropper hears, ``level`` the
+    interference each contributes relative to the signal, and ``cap`` the
+    share of eavesdroppers close enough to capture the signal regardless
+    (pi*d0^2 in the distance-dependent case, 0 with equal path loss).
     """
-    if n == 1:
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    x = m * (cap + (1.0 / (1.0 + level)) ** J * (1.0 - cap))
+    return SaturatingBound(value=2.0 * x - x * x, saturated=x > 1.0)
+
+
+def _tau_min(n: int, m: int, level: float, eps_s: float, cap: float = 0.0):
+    """Smallest tau bringing ``_interception`` with J = (n-1)(1-e^-tau) within eps_s.
+
+    0 when no jamming is needed; ``None`` when the capture share alone
+    exhausts the budget or no threshold reaches it.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    budget = _secrecy_budget(eps_s) / m - cap
+    if budget <= 0.0:
+        return None
+    ratio = budget / (1.0 - cap)
+    if ratio >= 1.0:
         return 0.0
-    return gamma_r * (n - 1) * (-math.expm1(-tau)) * tau
+    if level == 0.0:
+        return None
+    bracket = 1.0 + math.log(ratio) / ((n - 1) * math.log1p(level))
+    if bracket <= 0.0:
+        return None
+    return -math.log(bracket)
 
 
-def channel_survival(n: int, gamma_r: float, tau: float) -> float:
-    """Survival of one bottleneck channel against expected jamming.
+def _root(target: float | None, scale: float, denom: float):
+    """sqrt(-scale * log(target) / denom), the tau_max and tolerance exponent.
 
-    exp(-2*gamma_r*(n-1)*(1-e^-tau)*tau): the probability that a rate-2
-    exponential gain exceeds gamma_r times the expected number of jammers,
-    (n-1)(1-e^-tau), each contributing interference below tau.
+    ``target`` is the smallest survival level the reliability requirement
+    admits: ``None`` or >= 1 means no threshold meets it (``None``), <= 0
+    means it never binds (``math.inf``).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if tau < 0 or gamma_r <= 0:
-        raise ValueError("tau must be nonnegative and gamma_r positive")
-    return math.exp(-2.0 * _interference_level(n, gamma_r, tau))
+    if target is None or target >= 1.0:
+        return None
+    if target <= 0.0:
+        return math.inf
+    return math.sqrt(-scale * math.log(target) / denom)
+
+
+def _tolerance(bound: float) -> EavesTolerance:
+    if math.isinf(bound):
+        return EavesTolerance(bound=bound, count=None)
+    return EavesTolerance(bound=bound, count=int(math.floor(bound)))
 
 
 def transmission_bound_equal(n: int, k: int, gamma_r: float, tau: float) -> float:
     """Upper bound on the end-to-end transmission outage probability.
 
     2Q - Q^2 where Q is the per-hop failure bound: the top-k selection CDF
-    evaluated at the expected-interference level.  An infinite level (tau ->
-    inf with other relays present) is the limit Q = 1.
+    evaluated at the expected-interference level gamma_r * E[#jammers] * tau.
+    An infinite level (tau -> inf with other relays present) is the limit
+    Q = 1.
     """
-    level = _interference_level(n, gamma_r, tau)
+    # a lone relay has no one to jam it, also at tau = inf where the product
+    # would be 0 * inf
+    level = 0.0 if n == 1 else gamma_r * (n - 1) * (-math.expm1(-tau)) * tau
     if math.isinf(level):
         return 1.0
     q = float(topk_random_cdf(level, k, n))
@@ -120,13 +173,9 @@ def secrecy_bound_equal(n: int, m: int, gamma_e: float, tau: float) -> Saturatin
     B = (1/(1+gamma_e))^{(n-1)(1-e^-tau)} is the per-eavesdropper,
     per-hop interception bound under the expected number of jammers.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     if n < 1 or gamma_e <= 0 or tau < 0:
         raise ValueError("require n >= 1, gamma_e > 0, tau >= 0")
-    b = (1.0 / (1.0 + gamma_e)) ** ((n - 1) * (-math.expm1(-tau)))
-    x = m * b
-    return SaturatingBound(value=2.0 * x - x * x, saturated=x > 1.0)
+    return _interception(m, gamma_e, (n - 1) * (-math.expm1(-tau)))
 
 
 def _reliability_bracket(k: int, eps_t: float) -> float:
@@ -142,19 +191,8 @@ def tau_max_equal(n: int, k: int, gamma_r: float, eps_t: float):
     binds, or ``None`` when no threshold can satisfy it (the central-binomial
     relaxation makes k >= 2 infeasible at moderate eps_t).
     """
-    if n < 2:
-        raise ValueError("tau window requires n >= 2")
-    if not 1 <= k <= n:
-        raise ValueError("k must satisfy 1 <= k <= n")
-    _check_eps(eps_t, "eps_t")
-    if gamma_r <= 0:
-        raise ValueError("gamma_r must be positive")
-    bracket = _reliability_bracket(k, eps_t)
-    if bracket <= 0.0:
-        return math.inf
-    if bracket >= 1.0:
-        return None
-    return math.sqrt(-math.log(bracket) / (2.0 * gamma_r * (n - 1)))
+    _check_reliability(n, k, gamma_r, eps_t)
+    return _root(_reliability_bracket(k, eps_t), 1, 2.0 * gamma_r * (n - 1))
 
 
 def tau_min_equal(n: int, m: int, gamma_e: float, eps_s: float):
@@ -163,20 +201,8 @@ def tau_min_equal(n: int, m: int, gamma_e: float, eps_s: float):
     Returns 0 when the budget (1-sqrt(1-eps_s))/m already exceeds 1, and
     ``None`` when jamming cannot reach the target at any threshold.
     """
-    if n < 2:
-        raise ValueError("tau window requires n >= 2")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    _check_eps(eps_s, "eps_s")
-    if gamma_e <= 0:
-        raise ValueError("gamma_e must be positive")
-    ratio = _secrecy_budget(eps_s) / m
-    if ratio >= 1.0:
-        return 0.0
-    bracket = 1.0 + math.log(ratio) / ((n - 1) * math.log1p(gamma_e))
-    if bracket <= 0.0:
-        return None
-    return -math.log(bracket)
+    _check_secrecy(n, gamma_e, eps_s)
+    return _tau_min(n, m, gamma_e, eps_s)
 
 
 def max_eaves_equal(
@@ -188,25 +214,16 @@ def max_eaves_equal(
     the largest admissible jamming threshold.  ``None`` when the reliability
     requirement itself is infeasible.
     """
-    _check_eps(eps_s, "eps_s")
-    if gamma_e <= 0:
-        raise ValueError("gamma_e must be positive")
-    bracket = _reliability_bracket(k, eps_t)
-    if n < 2:
-        raise ValueError("requires n >= 2")
-    if bracket >= 1.0:
+    _check_reliability(n, k, gamma_r, eps_t)
+    _check_secrecy(n, gamma_e, eps_s)
+    exponent = _root(_reliability_bracket(k, eps_t), n - 1, 2.0 * gamma_r)
+    if exponent is None:
         return None
-    y = _secrecy_budget(eps_s)
-    if bracket <= 0.0:
-        return EavesTolerance(bound=math.inf, count=None)
-    exponent = math.sqrt(-(n - 1) * math.log(bracket) / (2.0 * gamma_r))
     try:
-        bound = y * (1.0 + gamma_e) ** exponent
+        bound = _secrecy_budget(eps_s) * (1.0 + gamma_e) ** exponent
     except OverflowError:  # float ** raises past the float range instead of giving inf
         bound = math.inf
-    if math.isinf(bound):
-        return EavesTolerance(bound=bound, count=None)
-    return EavesTolerance(bound=bound, count=int(math.floor(bound)))
+    return _tolerance(bound)
 
 
 def transmission_bound_equal_binomial_jammers(
@@ -233,12 +250,9 @@ def secrecy_bound_equal_binomial_jammers(
 ) -> SaturatingBound:
     """Diagnostic secrecy bound keeping the jammer count binomial.
 
-    E[(1/(1+gamma_e))^J] over J ~ Binomial(n-1, 1-e^-tau) has the closed
-    form (1 - p*gamma_e/(1+gamma_e))^(n-1).
+    E[(1/(1+gamma_e))^J] over J ~ Binomial(n-1, p = 1-e^-tau) has the
+    closed form (1 - p*gamma_e/(1+gamma_e))^(n-1), the plain bound's factor
+    with n - 1 jammers at level p*gamma_e/(1+(1-p)*gamma_e).
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     p = -math.expm1(-tau)
-    b = (1.0 - p * gamma_e / (1.0 + gamma_e)) ** (n - 1)
-    x = m * b
-    return SaturatingBound(value=2.0 * x - x * x, saturated=x > 1.0)
+    return _interception(m, p * gamma_e / (1.0 + (1.0 - p) * gamma_e), n - 1)

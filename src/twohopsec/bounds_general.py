@@ -8,6 +8,9 @@ the same clamp the simulator applies -- which makes bound and simulation
 describe one regularized model.  The integrals are evaluated by exact
 radial integration in polar coordinates followed by panel Gauss-Legendre
 quadrature over the angle, with a resolution-doubling convergence check.
+They are cached per (alpha, delta), and each bound looks them up there.
+The secrecy, tau-window and tolerance algebra is shared with
+``bounds_equal``, whose case is the capture share 0 at level gamma_e.
 """
 
 from __future__ import annotations
@@ -18,7 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds_equal import EavesTolerance, SaturatingBound, _check_eps, _secrecy_budget
+from .bounds_equal import (
+    SaturatingBound,
+    _check_reliability,
+    _check_secrecy,
+    _interception,
+    _root,
+    _secrecy_budget,
+    _tau_min,
+    _tolerance,
+)
 from .orderstats import _binom_pmf
 
 __all__ = [
@@ -234,7 +246,6 @@ def transmission_bound_general(
     alpha: float,
     delta: float,
     p_region=None,
-    integrals: GeometryIntegrals | None = None,
     sums=None,
 ) -> float:
     """Upper bound on transmission outage in the distance-dependent case.
@@ -243,12 +254,16 @@ def transmission_bound_general(
     with L the binomial in-region relay count and U the survival base.
     ``sums`` is ``region_sums(n, k, r, p_region)`` when already known.
     """
-    geo = geometry_integrals(alpha, delta) if integrals is None else integrals
     s1, s2 = region_sums(n, k, r, p_region) if sums is None else sums
     u = channel_survival_base(n, gamma_r, tau, r, alpha)
-    phi = geo.hop_sum
+    phi = geometry_integrals(alpha, delta).hop_sum
     value = 1.0 - u**phi * s1 - (u ** (2.0 * phi)) / (k * k) * s2
     return min(max(value, 0.0), 1.0)
+
+
+def _eaves_level(gamma_e: float, d0: float, alpha: float, delta: float) -> float:
+    """gamma_e * psi * d0^alpha, the per-jammer level at a corner eavesdropper."""
+    return gamma_e * geometry_integrals(alpha, delta).corner * d0**alpha
 
 
 def secrecy_bound_general(
@@ -259,26 +274,20 @@ def secrecy_bound_general(
     d0: float,
     alpha: float,
     delta: float,
-    integrals: GeometryIntegrals | None = None,
 ) -> SaturatingBound:
     """Upper bound on secrecy outage: 2mW - (mW)^2 with capture-disc floor.
 
     W = pi*d0^2 + (1/(1+gamma_e*psi*d0^alpha))^{(n-1)(1-e^-tau)} (1-pi*d0^2).
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     cap = math.pi * d0 * d0
     if cap > 1.0:
         raise ValueError("pi*d0^2 exceeds 1; capture disc larger than the network")
-    geo = geometry_integrals(alpha, delta) if integrals is None else integrals
-    base = 1.0 / (1.0 + gamma_e * geo.corner * d0**alpha)
-    w = cap + base ** ((n - 1) * (-math.expm1(-tau))) * (1.0 - cap)
-    x = m * w
-    return SaturatingBound(value=2.0 * x - x * x, saturated=x > 1.0)
+    level = _eaves_level(gamma_e, d0, alpha, delta)
+    return _interception(m, level, (n - 1) * (-math.expm1(-tau)), cap)
 
 
 def _survival_target(k: int, eps_t: float, sums) -> float | None:
-    """Smallest admissible value of U^(phi1+phi2), or None when unreachable.
+    """Smallest admissible value of U^(phi1+phi2); None when no region relay exists.
 
     ``sums`` is ``region_sums(n, k, r, p_region)``; nu1 and nu2 are its
     k^2-scaled masses.
@@ -288,14 +297,10 @@ def _survival_target(k: int, eps_t: float, sums) -> float | None:
     if nu1 == 0.0 and nu2 == 0.0:
         return None
     if nu2 == 0.0:
-        u_star = (1.0 - eps_t) * k * k / nu1
-    else:
-        u_star = (
-            k * k * math.sqrt(nu1 * nu1 + 4.0 * (1.0 - eps_t) * nu2) - k * k * nu1
-        ) / (2.0 * nu2)
-    if u_star >= 1.0:
-        return None
-    return u_star
+        return (1.0 - eps_t) * k * k / nu1
+    return (
+        k * k * math.sqrt(nu1 * nu1 + 4.0 * (1.0 - eps_t) * nu2) - k * k * nu1
+    ) / (2.0 * nu2)
 
 
 def tau_max_general(
@@ -307,7 +312,6 @@ def tau_max_general(
     delta: float,
     eps_t: float,
     p_region=None,
-    integrals: GeometryIntegrals | None = None,
     sums=None,
 ):
     """Largest jamming threshold keeping the transmission bound within eps_t.
@@ -317,20 +321,10 @@ def tau_max_general(
     linear inversion is used instead.  ``None`` marks infeasibility.
     ``sums`` is ``region_sums(n, k, r, p_region)`` when already known.
     """
-    if n < 2:
-        raise ValueError("tau window requires n >= 2")
-    _check_eps(eps_t, "eps_t")
-    if gamma_r <= 0:
-        raise ValueError("gamma_r must be positive")
-    geo = geometry_integrals(alpha, delta) if integrals is None else integrals
+    _check_reliability(n, k, gamma_r, eps_t)
     sums = region_sums(n, k, r, p_region) if sums is None else sums
-    u_star = _survival_target(k, eps_t, sums)
-    if u_star is None:
-        return None
-    if u_star <= 0.0:
-        return math.inf
-    denom = gamma_r * (n - 1) * geo.hop_sum * (0.5 + r) ** alpha
-    return math.sqrt(-math.log(u_star) / denom)
+    denom = gamma_r * (n - 1) * geometry_integrals(alpha, delta).hop_sum * (0.5 + r) ** alpha
+    return _root(_survival_target(k, eps_t, sums), 1, denom)
 
 
 def tau_min_general(
@@ -341,35 +335,17 @@ def tau_min_general(
     alpha: float,
     delta: float,
     eps_s: float,
-    integrals: GeometryIntegrals | None = None,
 ):
     """Smallest jamming threshold keeping the secrecy bound within eps_s.
 
     Infeasible (``None``) when the capture discs alone exhaust the secrecy
     budget or when d0 = 0 degenerates the inversion (log(1+0) = 0).
     """
-    if n < 2:
-        raise ValueError("tau window requires n >= 2")
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    _check_eps(eps_s, "eps_s")
+    _check_secrecy(n, gamma_e, eps_s)
     cap = math.pi * d0 * d0
     if cap >= 1.0:
         raise ValueError("pi*d0^2 must be below 1")
-    budget = _secrecy_budget(eps_s) / m - cap
-    if budget <= 0.0:
-        return None
-    ratio = budget / (1.0 - cap)
-    if ratio >= 1.0:
-        return 0.0
-    geo = geometry_integrals(alpha, delta) if integrals is None else integrals
-    level = gamma_e * geo.corner * d0**alpha
-    if level == 0.0:
-        return None
-    bracket = 1.0 + math.log(ratio) / ((n - 1) * math.log1p(level))
-    if bracket <= 0.0:
-        return None
-    return -math.log(bracket)
+    return _tau_min(n, m, _eaves_level(gamma_e, d0, alpha, delta), eps_s, cap)
 
 
 def max_eaves_general(
@@ -384,7 +360,6 @@ def max_eaves_general(
     eps_t: float,
     eps_s: float,
     p_region=None,
-    integrals: GeometryIntegrals | None = None,
     sums=None,
 ):
     """Tolerable eavesdropper count in the distance-dependent case.
@@ -394,31 +369,17 @@ def max_eaves_general(
     ``None`` when the reliability requirement is infeasible.
     ``sums`` is ``region_sums(n, k, r, p_region)`` when already known.
     """
-    if n < 2:
-        raise ValueError("requires n >= 2")
-    _check_eps(eps_t, "eps_t")
-    _check_eps(eps_s, "eps_s")
+    _check_reliability(n, k, gamma_r, eps_t)
+    _check_secrecy(n, gamma_e, eps_s)
     cap = math.pi * d0 * d0
     if cap >= 1.0:
         raise ValueError("pi*d0^2 must be below 1")
-    geo = geometry_integrals(alpha, delta) if integrals is None else integrals
     sums = region_sums(n, k, r, p_region) if sums is None else sums
-    u_star = _survival_target(k, eps_t, sums)
-    if u_star is None:
+    denom = gamma_r * geometry_integrals(alpha, delta).hop_sum * (0.5 + r) ** alpha
+    exponent = _root(_survival_target(k, eps_t, sums), n - 1, denom)
+    if exponent is None:
         return None
-    base = 1.0 / (1.0 + gamma_e * geo.corner * d0**alpha)
-    if u_star <= 0.0:
-        omega = 0.0 if base < 1.0 else 1.0
-    else:
-        exponent = math.sqrt(
-            -(n - 1) * math.log(u_star) / (gamma_r * geo.hop_sum * (0.5 + r) ** alpha)
-        )
-        omega = base**exponent
-    denom = cap + (1.0 - cap) * omega
-    y = _secrecy_budget(eps_s)
-    if denom == 0.0:
-        return EavesTolerance(bound=math.inf, count=None)
-    bound = y / denom
-    if math.isinf(bound):
-        return EavesTolerance(bound=bound, count=None)
-    return EavesTolerance(bound=bound, count=int(math.floor(bound)))
+    # an unbounded exponent drives omega to 0, or keeps it at 1 when d0 = 0
+    omega = (1.0 / (1.0 + _eaves_level(gamma_e, d0, alpha, delta))) ** exponent
+    factor = cap + (1.0 - cap) * omega
+    return _tolerance(math.inf if factor == 0.0 else _secrecy_budget(eps_s) / factor)

@@ -8,7 +8,7 @@ of a relay drawn uniformly from the ``k`` best of ``n`` (the quantity that
 drives the relay-selection analysis), plus brute-force sampling oracles so
 the closed forms can be cross-checked empirically.
 
-All CDF/PDF evaluators broadcast over ``x`` and accept scalars or arrays.
+All CDF evaluators broadcast over ``x`` and accept scalars or arrays.
 Binomial coefficients are taken in log space, from a table of log l!, so
 the rank sums stay finite for relay counts up to the thousands.
 """
@@ -21,11 +21,8 @@ import numpy as np
 
 __all__ = [
     "min_pair_cdf",
-    "min_pair_pdf",
     "kth_largest_cdf",
-    "kth_largest_pdf",
     "topk_random_cdf",
-    "topk_random_pdf",
     "mixture_cdf",
     "sample_min_pair",
     "sample_kth_largest",
@@ -57,13 +54,6 @@ def min_pair_cdf(x):
     """CDF of the bottleneck gain min of two unit-mean exponentials: 1 - e^{-2x}."""
     arr = _validate_x(x)
     out = np.where(arr > 0.0, -np.expm1(-2.0 * arr), 0.0)
-    return _maybe_scalar(out, np.isscalar(x))
-
-
-def min_pair_pdf(x):
-    """Density of the bottleneck gain, 2 e^{-2x} on x > 0."""
-    arr = _validate_x(x)
-    out = np.where(arr >= 0.0, 2.0 * np.exp(-2.0 * arr), 0.0)
     return _maybe_scalar(out, np.isscalar(x))
 
 
@@ -130,27 +120,6 @@ def kth_largest_cdf(x, j: int, n: int):
     return _maybe_scalar(out, np.isscalar(x))
 
 
-def kth_largest_pdf(x, j: int, n: int):
-    """Density of the j-th largest of n bottleneck gains.
-
-    n!/((j-1)!(n-j)!) (1-e^{-2x})^{n-j} (e^{-2x})^{j-1} * 2e^{-2x}; the value
-    at x = 0 is the right-sided limit (2n for j = n, else 0).
-    """
-    _validate_rank(j, n, "j")
-    arr = _validate_x(x)
-    log_coeff = math.lgamma(n + 1) - math.lgamma(j) - math.lgamma(n - j + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(-np.expm1(-2.0 * arr))
-        log_pdf = log_coeff + (n - j) * log_p + (j - 1) * (-2.0 * arr) + math.log(2.0) - 2.0 * arr
-        vals = np.exp(log_pdf)
-    if n > j:
-        vals = np.where(arr == 0.0, 0.0, vals)
-    else:
-        vals = np.where(arr == 0.0, 2.0 * n, vals)
-    out = np.where(arr >= 0.0, vals, 0.0)
-    return _maybe_scalar(out, np.isscalar(x))
-
-
 def topk_random_cdf(x, k: int, n: int):
     """CDF of the gain of a relay selected uniformly among the k largest of n.
 
@@ -164,17 +133,6 @@ def topk_random_cdf(x, k: int, n: int):
     for j in range(1, k + 1):
         acc += _binom_tail(pos, n - j + 1, n)
     out = np.where(arr > 0.0, acc / k, 0.0)
-    return _maybe_scalar(out, np.isscalar(x))
-
-
-def topk_random_pdf(x, k: int, n: int):
-    """Density matching ``topk_random_cdf``: the rank mixture of order-statistic densities."""
-    _validate_rank(k, n, "k")
-    arr = _validate_x(x)
-    acc = np.zeros_like(arr, dtype=float)
-    for j in range(1, k + 1):
-        acc = acc + np.asarray(kth_largest_pdf(arr, j, n), dtype=float)
-    out = acc / k
     return _maybe_scalar(out, np.isscalar(x))
 
 

@@ -66,26 +66,25 @@ def evaluate_bounds(
     """
     p = params
     if p.is_general:
-        geo = bgen.geometry_integrals(p.alpha, p.delta)
         # the binomial masses of the in-region relay count, shared by three bounds
         sums = bgen.region_sums(p.n, p.k, p.r, p_region)
         bound_t = bgen.transmission_bound_general(
-            p.n, p.k, p.r, p.gamma_r, p.tau, p.alpha, p.delta, p_region, geo, sums=sums
+            p.n, p.k, p.r, p.gamma_r, p.tau, p.alpha, p.delta, p_region, sums=sums
         )
         bound_s = bgen.secrecy_bound_general(
-            p.n, p.m, p.gamma_e, p.tau, p.d0, p.alpha, p.delta, geo
+            p.n, p.m, p.gamma_e, p.tau, p.d0, p.alpha, p.delta
         )
         tau_hi = bgen.tau_max_general(
-            p.n, p.k, p.r, p.gamma_r, p.alpha, p.delta, eps_t, p_region, geo, sums=sums
+            p.n, p.k, p.r, p.gamma_r, p.alpha, p.delta, eps_t, p_region, sums=sums
         )
         tau_lo = (
-            bgen.tau_min_general(p.n, p.m, p.gamma_e, p.d0, p.alpha, p.delta, eps_s, geo)
+            bgen.tau_min_general(p.n, p.m, p.gamma_e, p.d0, p.alpha, p.delta, eps_s)
             if p.m >= 1
             else 0.0
         )
         tolerance = bgen.max_eaves_general(
             p.n, p.k, p.r, p.gamma_r, p.gamma_e, p.d0, p.alpha, p.delta,
-            eps_t, eps_s, p_region, geo, sums=sums,
+            eps_t, eps_s, p_region, sums=sums,
         )
     else:
         bound_t = beq.transmission_bound_equal(p.n, p.k, p.gamma_r, p.tau)

@@ -173,7 +173,6 @@ def general_params(n, k, r, tau):
 
 
 def test_criterion_5_general_case_consistency_and_dominance():
-    geo = geometry_integrals(GENERAL_ALPHA, GENERAL_DELTA)
     trials = 100_000
     feasible = back_failures = dom_points = dom_failures = 0
     for n in (5, 10):
@@ -181,29 +180,28 @@ def test_criterion_5_general_case_consistency_and_dominance():
             for r in (0.2, 0.3):
                 for eps in (0.2, 0.3):
                     tau_hi = tau_max_general(n, k, r, 1.0, GENERAL_ALPHA, GENERAL_DELTA,
-                                             eps, integrals=geo)
+                                             eps)
                     tau_lo = tau_min_general(n, 1, 1.0, GENERAL_D0, GENERAL_ALPHA,
-                                             GENERAL_DELTA, eps, integrals=geo)
+                                             GENERAL_DELTA, eps)
                     tol = max_eaves_general(n, k, r, 1.0, 1.0, GENERAL_D0, GENERAL_ALPHA,
-                                            GENERAL_DELTA, eps, eps, integrals=geo)
+                                            GENERAL_DELTA, eps, eps)
                     if tau_hi is not None and not math.isinf(tau_hi):
                         feasible += 1
                         if (
                             transmission_bound_general(
-                                n, k, r, 1.0, tau_hi, GENERAL_ALPHA, GENERAL_DELTA,
-                                integrals=geo,
+                                n, k, r, 1.0, tau_hi, GENERAL_ALPHA, GENERAL_DELTA
                             )
                             > eps + 1e-9
                         ):
                             back_failures += 1
                         if tol is not None and tol.count and tol.count >= 1:
                             b = secrecy_bound_general(n, tol.count, 1.0, tau_hi, GENERAL_D0,
-                                                      GENERAL_ALPHA, GENERAL_DELTA, integrals=geo)
+                                                      GENERAL_ALPHA, GENERAL_DELTA)
                             if b.value > eps + 1e-9:
                                 back_failures += 1
                     if tau_lo is not None:
                         b = secrecy_bound_general(n, 1, 1.0, tau_lo, GENERAL_D0,
-                                                  GENERAL_ALPHA, GENERAL_DELTA, integrals=geo)
+                                                  GENERAL_ALPHA, GENERAL_DELTA)
                         if b.value > eps + 1e-9:
                             back_failures += 1
                     # simulation dominance at the admissible threshold (or a
@@ -213,9 +211,9 @@ def test_criterion_5_general_case_consistency_and_dominance():
                     rep = estimate(p, trials, seed=99)
                     dom_points += 1
                     bt = transmission_bound_general(n, k, r, 1.0, sim_tau, GENERAL_ALPHA,
-                                                    GENERAL_DELTA, integrals=geo)
+                                                    GENERAL_DELTA)
                     bs = secrecy_bound_general(n, 1, 1.0, sim_tau, GENERAL_D0,
-                                               GENERAL_ALPHA, GENERAL_DELTA, integrals=geo)
+                                               GENERAL_ALPHA, GENERAL_DELTA)
                     if rep.p_t_hat > bt + 3 * _standard_error(rep.ci_t):
                         dom_failures += 1
                     if rep.p_s_hat > bs.effective + 3 * _standard_error(rep.ci_s):
@@ -246,9 +244,9 @@ def test_criterion_6_corollary_reductions():
     for r in (0.5, 0.7, 1.0):
         u = channel_survival_base(5, 1.0, 0.05, r, GENERAL_ALPHA)
         got = transmission_bound_general(5, 5, r, 1.0, 0.05, GENERAL_ALPHA, GENERAL_DELTA,
-                                         p_region=1.0, integrals=geo)
+                                         p_region=1.0)
         sentinel = max(sentinel, abs(got - (1.0 - u**geo.hop_sum)))
-    tau_lin = tau_max_general(5, 5, 0.3, 1.0, GENERAL_ALPHA, GENERAL_DELTA, 0.3, integrals=geo)
+    tau_lin = tau_max_general(5, 5, 0.3, 1.0, GENERAL_ALPHA, GENERAL_DELTA, 0.3)
     nu1 = 25 * sum(
         math.comb(5, l) * (math.pi * 0.09) ** l * (1 - math.pi * 0.09) ** (5 - l)
         for l in range(1, 6)
@@ -282,7 +280,6 @@ def test_criterion_7_monotone_trends():
         ok_equal_k &= all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         ok_equal_k &= len(values) >= 1
     # general case: nonincreasing in k on the comparable feasible pairs
-    geo = geometry_integrals(GENERAL_ALPHA, GENERAL_DELTA)
     ok_general_k = True
     general_k_pairs = 0
     for n in (5, 10):
@@ -290,7 +287,7 @@ def test_criterion_7_monotone_trends():
             for eps in (0.2, 0.3):
                 tols = [
                     max_eaves_general(n, k, r, 1.0, 1.0, GENERAL_D0, GENERAL_ALPHA,
-                                      GENERAL_DELTA, eps, eps, integrals=geo)
+                                      GENERAL_DELTA, eps, eps)
                     for k in (1, 2)
                 ]
                 if all(t is not None for t in tols):
@@ -326,7 +323,6 @@ def test_criterion_7_monotone_trends():
     ),
 )
 def test_criterion_7_general_radius_scan():
-    geo = geometry_integrals(GENERAL_ALPHA, GENERAL_DELTA)
     ok = True
     pairs = 0
     for n in (5, 10):
@@ -334,7 +330,7 @@ def test_criterion_7_general_radius_scan():
             for eps in (0.2, 0.3):
                 tols = [
                     max_eaves_general(n, k, r, 1.0, 1.0, GENERAL_D0, GENERAL_ALPHA,
-                                      GENERAL_DELTA, eps, eps, integrals=geo)
+                                      GENERAL_DELTA, eps, eps)
                     for r in (0.2, 0.3)
                 ]
                 if all(t is not None for t in tols):

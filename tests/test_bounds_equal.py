@@ -4,7 +4,6 @@ import mpmath as mp
 import pytest
 
 from twohopsec.bounds_equal import (
-    channel_survival,
     max_eaves_equal,
     secrecy_bound_equal,
     secrecy_bound_equal_binomial_jammers,
@@ -40,27 +39,13 @@ def mp_secrecy(n, m, gamma_e, tau):
     return 2 * m * b - (m * b) ** 2
 
 
-class TestChannelSurvival:
-    def test_no_jamming(self):
-        assert channel_survival(5, 1.0, 0.0) == 1.0
-
-    def test_single_relay(self):
-        assert channel_survival(1, 2.0, 3.0) == 1.0
-
-    def test_point_value(self):
-        assert channel_survival(2, 1.0, 1.0) == pytest.approx(
-            float(mp_survival(2, 1, 1)), rel=1e-14
-        )
-        assert channel_survival(2, 1.0, 1.0) == pytest.approx(0.2824535638505403, rel=1e-13)
-
-
 class TestTransmissionBound:
     def test_zero_tau(self):
         assert transmission_bound_equal(5, 2, 1.0, 0.0) == 0.0
 
     def test_k1_algebraic_collapse(self):
         for tau in (0.01, 0.05, 0.2, 0.8):
-            psi = channel_survival(5, 1.0, tau)
+            psi = float(mp_survival(5, 1.0, tau))
             q = (1 - psi) ** 5
             expected = 2 * q - q * q
             assert transmission_bound_equal(5, 1, 1.0, tau) == pytest.approx(
@@ -280,4 +265,3 @@ class TestInfiniteTau:
     def test_single_relay_has_no_jammers(self):
         assert transmission_bound_equal(1, 1, 1.0, math.inf) == 0.0
         assert secrecy_bound_equal(1, 1, 1.0, math.inf).value == 1.0
-        assert channel_survival(1, 1.0, math.inf) == 1.0

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from twohopsec.bounds_equal import max_eaves_equal
 from twohopsec.bounds_general import (
     GeometryIntegrals,
     _binom_sums,
@@ -346,3 +347,22 @@ class TestMaxEavesGeneral:
 
     def test_infeasible_propagates(self):
         assert max_eaves_general(5, 2, 0.0, 1.0, 1.0, 0.05, ALPHA, DELTA, 0.3, 0.3) is None
+
+
+@pytest.mark.parametrize("bound, args", [
+    (max_eaves_equal, (5, 0, 1.0, 1.0, 0.19, 0.19)),
+    (max_eaves_equal, (5, 9, 1.0, 1.0, 0.19, 0.19)),
+    (max_eaves_equal, (5, 1, 0.0, 1.0, 0.19, 0.19)),
+    (max_eaves_equal, (5, 1, 1.0, 1.0, 1.0, 0.19)),
+    (max_eaves_general, (5, 1, 0.3, 0.0, 1.0, 0.05, ALPHA, DELTA, 0.19, 0.19)),
+    (max_eaves_general, (5, 1, 0.3, 1.0, -0.5, 0.05, ALPHA, DELTA, 0.19, 0.19)),
+    (max_eaves_general, (5, 1, 0.3, 1.0, 1.0, 0.05, ALPHA, DELTA, 1.0, 0.19)),
+    (tau_min_general, (5, 1, -0.5, 0.05, ALPHA, DELTA, 0.19)),
+    (tau_min_general, (5, 1, 0.0, 0.05, ALPHA, DELTA, 0.19)),
+], ids=["equal-k0", "equal-k-above-n", "equal-gamma_r0", "equal-eps_t1", "general-gamma_r0",
+        "general-gamma_e-negative", "general-eps_t1", "tau_min-gamma_e-negative",
+        "tau_min-gamma_e0"])
+def test_tolerance_and_window_reject_what_their_siblings_reject(bound, args):
+    """k outside 1..n, gamma_r or gamma_e <= 0 and eps outside (0, 1) raise, as in tau_max/tau_min."""
+    with pytest.raises(ValueError):
+        bound(*args)

@@ -11,15 +11,12 @@ from scipy.stats import kstest
 from twohopsec import orderstats
 from twohopsec.orderstats import (
     kth_largest_cdf,
-    kth_largest_pdf,
     min_pair_cdf,
-    min_pair_pdf,
     mixture_cdf,
     sample_kth_largest,
     sample_min_pair,
     sample_topk_random,
     topk_random_cdf,
-    topk_random_pdf,
 )
 
 
@@ -50,9 +47,6 @@ class TestMinPair:
             min_pair_cdf(math.nan)
         with pytest.raises(ValueError):
             min_pair_cdf(math.inf)
-
-    def test_pdf_at_zero(self):
-        assert min_pair_pdf(0.0) == 2.0
 
 
 class TestKthLargest:
@@ -107,26 +101,6 @@ class TestKthLargest:
         assert ks.statistic < 0.01
 
 
-class TestKthLargestPdf:
-    def test_rate2_density_at_zero(self):
-        assert kth_largest_pdf(0.0, 1, 1) == 2.0
-
-    def test_closed_form_point(self):
-        # 4 (1 - e^{-1}) e^{-1}
-        assert kth_largest_pdf(0.5, 1, 2) == pytest.approx(0.9301766317393185, rel=1e-13)
-
-    def test_matches_numeric_derivative(self):
-        h = 1e-6
-        for n, j in ((2, 1), (5, 3), (4, 4)):
-            for x in (0.2, 0.7, 1.5):
-                diff = (kth_largest_cdf(x + h, j, n) - kth_largest_cdf(x - h, j, n)) / (2 * h)
-                assert kth_largest_pdf(x, j, n) == pytest.approx(diff, rel=1e-5)
-
-    def test_integrates_to_one(self):
-        total, err = quad(lambda x: kth_largest_pdf(x, 3, 5), 0.0, 20.0)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-
 class TestTopkRandom:
     def test_k1_is_maximum(self):
         assert topk_random_cdf(0.5, 1, 4) == pytest.approx(0.1596613001511853, rel=1e-13)
@@ -152,18 +126,6 @@ class TestTopkRandom:
         draws = sample_topk_random(5, 2, rng, size=100_000)
         ks = kstest(draws, lambda x: topk_random_cdf(x, 2, 5))
         assert ks.statistic < 0.01
-
-    def test_pdf_trivial(self):
-        assert topk_random_pdf(0.0, 1, 1) == 2.0
-
-    def test_pdf_full_mixture_is_parent(self):
-        assert topk_random_pdf(0.4, 3, 3) == pytest.approx(0.8986579282344432, rel=1e-13)
-
-    def test_pdf_integrates_to_cdf_differences(self):
-        lo, hi = 0.1, 0.9
-        total, err = quad(lambda x: topk_random_pdf(x, 2, 4), lo, hi, limit=200)
-        expected = topk_random_cdf(hi, 2, 4) - topk_random_cdf(lo, 2, 4)
-        assert total == pytest.approx(expected, abs=1e-6)
 
 
 class TestMixture:

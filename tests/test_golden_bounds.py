@@ -1,11 +1,20 @@
-"""`bounds` CSV rows pinned byte for byte.
+"""CLI output pinned byte for byte.
 
-``golden/bounds_rows.txt`` lists command lines (``$ twohopsec ...``), each
-followed by the CSV data row it prints.  The rows cover both path-loss cases,
-feasible and infeasible tau windows, an unbounded tolerance, m = 0, k = n,
-``--exact-region``, d0 = 0 and n = 3000.  Regenerate the file with
-``PYTHONPATH=src python tests/test_golden_bounds.py`` only when a change to
-the bound cells is intended.
+Each golden file lists command lines (``$ twohopsec ...``), each followed by
+what that command prints:
+
+- ``golden/bounds_rows.txt``: the CSV data row of a ``bounds`` run.  The rows
+  cover both path-loss cases, feasible and infeasible tau windows, an
+  unbounded tolerance, m = 0, k = n, ``--exact-region``, d0 = 0 and n = 3000.
+- ``golden/cli_output.txt``: the whole transcript of a run of any command:
+  stdout as printed, then each stderr line prefixed with ``! ``, then
+  ``[exit N]``.  The entries cover every command name with and without
+  ``--report`` in both cases, sweep error rows, ``--no-bounds``/``--no-sim``
+  sweeps and rejected runs (exit 2 and 3).
+
+Regenerate both with ``PYTHONPATH=src python tests/test_golden_bounds.py``
+only when a change to the output is intended; a new entry is one more
+command line followed by nothing.
 """
 
 import contextlib
@@ -18,19 +27,38 @@ import pytest
 from twohopsec.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "bounds_rows.txt"
+CLI_GOLDEN = Path(__file__).parent / "golden" / "cli_output.txt"
 PROMPT = "$ twohopsec "
 
 
-def read_golden():
-    lines = GOLDEN.read_text().splitlines()
-    return [(cmd[len(PROMPT):], row) for cmd, row in zip(lines[::2], lines[1::2])]
+def read_golden(path=GOLDEN):
+    """(args, body) per entry: a command line, then every line up to the next one."""
+    entries = []
+    for line in path.read_text().splitlines(keepends=True):
+        if line.startswith(PROMPT):
+            entries.append((line[len(PROMPT):].rstrip("\n"), []))
+        else:
+            entries[-1][1].append(line)
+    return [(args, "".join(body)) for args, body in entries]
 
 
 def data_row(args: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(shlex.split(args)) == 0
-    return out.getvalue().splitlines()[-1]
+    return out.getvalue().splitlines()[-1] + "\n"
+
+
+def transcript(args: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(shlex.split(args))
+    stderr = "".join("! " + line for line in err.getvalue().splitlines(keepends=True))
+    return f"{out.getvalue()}{stderr}[exit {code}]\n"
+
+
+def write_golden(path, render) -> None:
+    path.write_text("".join(f"{PROMPT}{args}\n{render(args)}" for args, _ in read_golden(path)))
 
 
 @pytest.mark.parametrize("args, row", read_golden(), ids=[a for a, _ in read_golden()])
@@ -45,6 +73,12 @@ def test_every_entry_is_a_command_and_a_row():
     assert not any(row.startswith(PROMPT) for row in lines[1::2])
 
 
+@pytest.mark.parametrize("args, expected", read_golden(CLI_GOLDEN),
+                         ids=[a for a, _ in read_golden(CLI_GOLDEN)])
+def test_cli_output(args, expected):
+    assert transcript(args) == expected
+
+
 if __name__ == "__main__":
-    entries = read_golden()
-    GOLDEN.write_text("".join(f"{PROMPT}{args}\n{data_row(args)}\n" for args, _ in entries))
+    write_golden(GOLDEN, data_row)
+    write_golden(CLI_GOLDEN, transcript)

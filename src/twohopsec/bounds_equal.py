@@ -90,6 +90,12 @@ def _check_secrecy(n: int, gamma_e: float, eps_s: float) -> None:
         raise ValueError("gamma_e must be positive")
 
 
+def _check_point(n: int, gamma: float, tau: float, name: str) -> None:
+    """The inputs every outage bound at one tau must satisfy; ``name`` is the SINR threshold's."""
+    if n < 1 or gamma <= 0 or tau < 0:
+        raise ValueError(f"require n >= 1, {name} > 0, tau >= 0")
+
+
 def _secrecy_budget(eps_s: float) -> float:
     return 1.0 - math.sqrt(1.0 - eps_s)
 
@@ -158,6 +164,7 @@ def transmission_bound_equal(n: int, k: int, gamma_r: float, tau: float) -> floa
     An infinite level (tau -> inf with other relays present) is the limit
     Q = 1.
     """
+    _check_point(n, gamma_r, tau, "gamma_r")
     # a lone relay has no one to jam it, also at tau = inf where the product
     # would be 0 * inf
     level = 0.0 if n == 1 else gamma_r * (n - 1) * (-math.expm1(-tau)) * tau
@@ -173,8 +180,7 @@ def secrecy_bound_equal(n: int, m: int, gamma_e: float, tau: float) -> Saturatin
     B = (1/(1+gamma_e))^{(n-1)(1-e^-tau)} is the per-eavesdropper,
     per-hop interception bound under the expected number of jammers.
     """
-    if n < 1 or gamma_e <= 0 or tau < 0:
-        raise ValueError("require n >= 1, gamma_e > 0, tau >= 0")
+    _check_point(n, gamma_e, tau, "gamma_e")
     return _interception(m, gamma_e, (n - 1) * (-math.expm1(-tau)))
 
 
@@ -236,6 +242,7 @@ def transmission_bound_equal_binomial_jammers(
     instead of substituting its expectation.  Useful for tracing
     simulation-vs-bound violations to that substitution.
     """
+    _check_point(n, gamma_r, tau, "gamma_r")
     if tau == 0.0 or math.isinf(tau):
         # the jammer count is certain (0 or n - 1), so its mean is exact
         return transmission_bound_equal(n, k, gamma_r, tau)
@@ -254,5 +261,6 @@ def secrecy_bound_equal_binomial_jammers(
     closed form (1 - p*gamma_e/(1+gamma_e))^(n-1), the plain bound's factor
     with n - 1 jammers at level p*gamma_e/(1+(1-p)*gamma_e).
     """
+    _check_point(n, gamma_e, tau, "gamma_e")
     p = -math.expm1(-tau)
     return _interception(m, p * gamma_e / (1.0 + (1.0 - p) * gamma_e), n - 1)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .bounds_equal import (
     SaturatingBound,
+    _check_point,
     _check_reliability,
     _check_secrecy,
     _interception,
@@ -279,6 +280,7 @@ def secrecy_bound_general(
 
     W = pi*d0^2 + (1/(1+gamma_e*psi*d0^alpha))^{(n-1)(1-e^-tau)} (1-pi*d0^2).
     """
+    _check_point(n, gamma_e, tau, "gamma_e")
     cap = math.pi * d0 * d0
     if cap > 1.0:
         raise ValueError("pi*d0^2 exceeds 1; capture disc larger than the network")

@@ -12,6 +12,7 @@ from twohopsec.bounds_equal import (
     transmission_bound_equal,
     transmission_bound_equal_binomial_jammers,
 )
+from twohopsec.bounds_general import secrecy_bound_general
 from twohopsec.orderstats import min_pair_cdf
 
 mp.mp.dps = 50
@@ -248,6 +249,22 @@ class TestBinomialJammerDiagnostics:
 
     def test_no_overflow_past_a_thousand_relays(self):
         assert 0.0 <= transmission_bound_equal_binomial_jammers(1500, 3, 1.0, 0.2) <= 1.0
+
+
+@pytest.mark.parametrize("bound, args", [
+    (transmission_bound_equal, (5, 1, -1.0, 0.3)),
+    (transmission_bound_equal, (5, 1, 1.0, -0.3)),
+    (transmission_bound_equal_binomial_jammers, (5, 1, -1.0, 0.3)),
+    (secrecy_bound_equal_binomial_jammers, (5, 1, -0.5, 0.3)),
+    (secrecy_bound_equal_binomial_jammers, (0, 1, 1.0, 0.3)),
+    (secrecy_bound_general, (5, 1, -0.5, 0.3, 0.05, 3.0, 0.05)),
+    (secrecy_bound_general, (5, 1, 1.0, -0.3, 0.05, 3.0, 0.05)),
+    (secrecy_bound_general, (0, 1, 1.0, 0.3, 0.05, 3.0, 0.05)),
+])
+def test_bound_rejects_inputs_the_model_rejects(bound, args):
+    # ProtocolParams rejects these first; a direct call used to return a number
+    with pytest.raises(ValueError, match=r"require n >= 1, gamma_[re] > 0, tau >= 0"):
+        bound(*args)
 
 
 class TestInfiniteTau:

@@ -1,13 +1,14 @@
 """Command-line front end: bounds (alias tau-range, max-eaves), simulate, sweep.
 
 Configuration comes from a YAML file of key-value pairs (``--config``) with
-individual flags overriding file values.  Every command can emit one CSV
-row per evaluated scenario under a fixed 28-column schema; missing
-quantities are empty cells, never dropped columns, and infinite radii are
-written as the literal string ``inf``.  The first CSV line echoes the
-resolved configuration as a JSON comment so a result file reparses into the
-exact run that produced it.  The argument parser is built once per process
-and reused by every ``main`` call.
+individual flags overriding file values.  ``bounds`` and ``simulate`` run
+the evaluation of ``sweep`` on one point, so a one-step sweep reproduces
+their rows.  Each scenario gives one CSV row under a fixed 28-column schema;
+missing quantities are empty cells, never dropped columns, and infinite
+radii are written as the literal string ``inf``.  The first CSV line echoes
+the resolved configuration as a JSON comment so a result file reparses into
+the exact run that produced it.  The argument parser is built once per
+process and reused by every ``main`` call.
 
 Exit codes: 0 success (including infeasible-but-computed results),
 2 malformed configuration, 3 numeric failure (including out of memory).
@@ -99,9 +100,7 @@ class SweepSpec:
         unknown = set(d) - {"param", "from", "to", "steps", "scale"}
         if unknown:
             raise ValueError(f"unknown sweep field {sorted(unknown)[0]!r}")
-        if "param" not in d:
-            raise ValueError("sweep.param is required")
-        for field in ("from", "to"):
+        for field in ("param", "from", "to"):
             if field not in d:
                 raise ValueError(f"sweep.{field} is required")
         return cls(
@@ -230,9 +229,10 @@ _CONFIG_FIELDS = {
 }
 _PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ProtocolParams) if f.name != "case")
 _INT_PARAMS = tuple(name for name in _SWEEPABLE if _CONFIG_FIELDS[name][0] is _as_int)
+_COLUMNS = CSV_HEADER.split(",")
 # The scenario columns that open every CSV row, read off the row's ProtocolParams
 # (or off its RunConfig when the parameters were rejected).
-_PARAM_COLUMNS = CSV_HEADER.split(",trials,")[0].split(",")
+_PARAM_COLUMNS = _COLUMNS[:_COLUMNS.index("trials")]
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -279,46 +279,42 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_row(
-    scenario: ProtocolParams | RunConfig,
-    trials,
-    seed,
-    est: EstimateReport | None,
-    bnd: BoundReport | None,
-    error: bool = False,
-) -> str:
-    cells = [_cell(getattr(scenario, name)) for name in _PARAM_COLUMNS]
-    cells.append(_cell(trials if est is not None else None))
-    cells.append(_cell(seed if est is not None else None))
+@dataclass
+class _Point:
+    """One scenario of a run; ``error`` is the ValueError that rejected it, if any."""
+
+    config: RunConfig
+    params: ProtocolParams | None = None
+    bnd: BoundReport | None = None
+    est: EstimateReport | None = None
+    error: ValueError | None = None
+
+
+def _csv_row(point: _Point) -> str:
+    est, bnd = point.est, point.bnd
+    scenario = point.params or point.config
+    cells = {name: getattr(scenario, name) for name in _PARAM_COLUMNS}
     if est is not None:
-        cells += [
-            _cell(est.p_t_hat), _cell(est.ci_t[0]), _cell(est.ci_t[1]),
-            _cell(est.p_s_hat), _cell(est.ci_s[0]), _cell(est.ci_s[1]),
-        ]
-    else:
-        cells += [""] * 6
+        cells.update(
+            trials=point.config.trials, seed=point.config.seed,
+            p_t_hat=est.p_t_hat, p_t_lo=est.ci_t[0], p_t_hi=est.ci_t[1],
+            p_s_hat=est.p_s_hat, p_s_lo=est.ci_s[0], p_s_hi=est.ci_s[1],
+            jain=est.jain_index, entropy=est.norm_entropy,
+            no_candidate_rate=est.no_candidate_rate,
+        )
     if bnd is not None:
         tol = bnd.max_eaves
-        cells += [
-            _cell(bnd.bound_t),
-            _cell(bnd.bound_s.value),
-            _cell(bnd.window.tau_min),
-            _cell(bnd.window.tau_max),
-            _cell(tol.bound if tol is not None else None),
-        ]
-    else:
-        cells += [""] * 5
-    if est is not None:
-        cells += [_cell(est.jain_index), _cell(est.norm_entropy), _cell(est.no_candidate_rate)]
-    else:
-        cells += [""] * 3
-    if error:
-        cells.append("error")
-    elif bnd is not None:
-        cells.append(_cell(bnd.feasible))
-    else:
-        cells.append("")
-    return ",".join(cells)
+        cells.update(
+            bound_t=bnd.bound_t,
+            bound_s=bnd.bound_s.value,
+            tau_min=bnd.window.tau_min,
+            tau_max=bnd.window.tau_max,
+            max_m=tol.bound if tol is not None else None,
+            feasible=bnd.feasible,
+        )
+    if point.error is not None:
+        cells["feasible"] = "error"
+    return ",".join(_cell(cells.get(name)) for name in _COLUMNS)
 
 
 def _emit_csv(config: RunConfig, rows: list, stream) -> None:
@@ -326,16 +322,6 @@ def _emit_csv(config: RunConfig, rows: list, stream) -> None:
     print(CSV_HEADER, file=stream)
     for row in rows:
         print(row, file=stream)
-
-
-def _write_output(config: RunConfig, rows: list, report_text: str | None) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-            _emit_csv(config, rows, fh)
-    if report_text is not None:
-        print(report_text)
-    elif not config.out:
-        _emit_csv(config, rows, sys.stdout)
 
 
 def parse_config_comment(line: str) -> RunConfig:
@@ -391,108 +377,84 @@ def _estimate_report_text(est: EstimateReport) -> str:
     )
 
 
-def cmd_bounds(config: RunConfig, want_report: bool) -> int:
-    params = config.protocol_params()
-    bnd = evaluate_bounds(params, config.eps_t, config.eps_s, config.p_region(params))
-    row = _csv_row(params, None, None, None, bnd)
-    _write_output(config, [row], _bounds_report_text(bnd) if want_report else None)
-    return 0
-
-
-def cmd_simulate(config: RunConfig, want_report: bool, workers: int = 1) -> int:
-    params = config.protocol_params()
-    est = estimate(params, config.trials, config.seed, workers=workers)
-    row = _csv_row(params, config.trials, config.seed, est, None)
-    _write_output(config, [row], _estimate_report_text(est) if want_report else None)
-    return 0
-
-
-@dataclass
-class _SweepPoint:
-    value: object
-    config: RunConfig
-    params: ProtocolParams | None = None
-    bnd: BoundReport | None = None
-    est: EstimateReport | None = None
-    error: bool = False
-
-
-def _simulate_points(points: list, param: str, trials: int, seed: int, workers: int) -> None:
-    """Attach estimates to the valid sweep points, in as few simulations as the grid allows.
+def _evaluate(points: list, param: str | None, with_bounds: bool, with_sim: bool,
+              workers: int) -> None:
+    """Fill in each point's parameters, bounds and estimate, or the error that stopped it.
 
     The SINR thresholds enter no draw, so a gamma_r or gamma_e grid is one
-    simulation (common random numbers); any other parameter changes the
-    selection or the jammer sets and is simulated point by point.
+    simulation (common random numbers); every other point is simulated on
+    its own, as any other parameter changes the selection or the jammer sets.
     """
-    live = [p for p in points if not p.error]
-    if param in _THRESHOLDS:
-        groups = [live] if live else []
-    else:
-        groups = [[p] for p in live]
-    for group in groups:
-        try:
-            if param in _THRESHOLDS:
-                values = [getattr(p.params, param) for p in group]
-                ests = estimate(group[0].params, trials, seed, workers=workers,
-                                **{param: values})
-            else:
-                ests = [estimate(group[0].params, trials, seed, workers=workers)]
-        except ValueError:
-            for p in group:
-                p.error = True
-            continue
-        for p, est in zip(group, ests):
-            p.est = est
-
-
-def cmd_sweep(config: RunConfig, want_report: bool, with_bounds: bool,
-              with_sim: bool, workers: int = 1) -> int:
-    if config.sweep is None:
-        raise ValueError("sweep requires a sweep spec (--sweep-param or config 'sweep')")
-    param = config.sweep.param
-    points = [
-        _SweepPoint(value, dataclasses.replace(config, sweep=None, out=None, **{param: value}))
-        for value in config.sweep.values()
-    ]
     for point in points:
         try:
             point.params = point.config.protocol_params()
             if with_bounds:
-                point.bnd = evaluate_bounds(point.params, config.eps_t, config.eps_s,
-                                            config.p_region(point.params))
-        except ValueError:
-            point.error = True
-    if with_sim:
-        _simulate_points(points, param, config.trials, config.seed, workers)
-    rows = []
-    summaries = []
-    for point in points:
-        est, bnd = point.est, point.bnd
-        rows.append(
-            _csv_row(
-                point.params or point.config,
-                config.trials if est is not None else None,
-                config.seed if est is not None else None,
-                est,
-                bnd,
-                error=point.error,
-            )
-        )
-        if want_report:
-            tag = f"{param}={_fmt(point.value)}"
-            if point.error:
-                summaries.append(f"{tag}: parameter error")
-            else:
-                parts = []
-                if bnd is not None:
-                    parts.append(f"bound_t={_fmt(bnd.bound_t)}")
-                    parts.append(f"feasible={str(bnd.feasible).lower()}")
-                if est is not None:
-                    parts.append(f"p_t_hat={est.p_t_hat:.6g}")
-                    parts.append(f"jain={est.jain_index:.4g}")
-                summaries.append(f"{tag}: " + " ".join(parts))
-    _write_output(config, rows, "\n".join(summaries) if want_report else None)
-    return 0
+                point.bnd = evaluate_bounds(point.params, point.config.eps_t, point.config.eps_s,
+                                            point.config.p_region(point.params))
+        except ValueError as exc:
+            point.error = exc
+    if not with_sim:
+        return
+    live = [p for p in points if p.error is None]
+    grid = param in _THRESHOLDS
+    for group in ([live] if grid and live else [[p] for p in live]):
+        values = {param: [getattr(p.params, param) for p in group]} if grid else {}
+        try:
+            ests = estimate(group[0].params, group[0].config.trials, group[0].config.seed,
+                            workers=workers, **values)
+        except ValueError as exc:
+            for p in group:
+                p.error = exc
+            continue
+        for p, est in zip(group, ests if grid else [ests]):
+            p.est = est
+
+
+def _sweep_summary(param: str, point: _Point) -> str:
+    tag = f"{param}={_fmt(getattr(point.config, param))}"
+    if point.error is not None:
+        return f"{tag}: parameter error"
+    parts = []
+    if point.bnd is not None:
+        parts += [f"bound_t={_fmt(point.bnd.bound_t)}",
+                  f"feasible={str(point.bnd.feasible).lower()}"]
+    if point.est is not None:
+        parts += [f"p_t_hat={point.est.p_t_hat:.6g}", f"jain={point.est.jain_index:.4g}"]
+    return f"{tag}: " + " ".join(parts)
+
+
+def _run(config: RunConfig, args: argparse.Namespace) -> None:
+    """Evaluate the command's points, then write their CSV rows or print its report.
+
+    A one-point command fails with its point's error; a sweep writes it as an error row.
+    """
+    if args.command == "sweep":
+        if config.sweep is None:
+            raise ValueError("sweep requires a sweep spec (--sweep-param or config 'sweep')")
+        param = config.sweep.param
+        points = [_Point(dataclasses.replace(config, sweep=None, out=None, **{param: value}))
+                  for value in config.sweep.values()]
+        _evaluate(points, param, not args.no_bounds, not args.no_sim, args.workers)
+        report = "\n".join(_sweep_summary(param, p) for p in points) if args.report else None
+    else:
+        simulate = args.command == "simulate"
+        point = _Point(config)
+        points = [point]
+        _evaluate(points, None, not simulate, simulate, args.workers)
+        if point.error is not None:
+            raise point.error
+        report = None
+        if args.report:
+            report = (_estimate_report_text(point.est) if simulate
+                      else _bounds_report_text(point.bnd))
+    rows = [_csv_row(p) for p in points]
+    if config.out:
+        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
+            _emit_csv(config, rows, fh)
+    if report is not None:
+        print(report)
+    elif not config.out:
+        _emit_csv(config, rows, sys.stdout)
 
 
 @functools.cache
@@ -543,14 +505,8 @@ def main(argv=None) -> int:
         config = load_config(args)
         if args.workers < 1:
             raise ValueError("--workers must be at least 1")
-        if args.command in ("bounds", "tau-range", "max-eaves"):
-            return cmd_bounds(config, args.report)
-        if args.command == "simulate":
-            return cmd_simulate(config, args.report, args.workers)
-        return cmd_sweep(
-            config, args.report, with_bounds=not args.no_bounds,
-            with_sim=not args.no_sim, workers=args.workers,
-        )
+        _run(config, args)
+        return 0
     except (QuadratureError, FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -242,16 +242,19 @@ class TestCheckedInput:
 
 
 class TestSweep:
-    def test_single_step_matches_simulate(self, tmp_path):
+    @pytest.mark.parametrize("command, skip", [("simulate", "--no-bounds"),
+                                               ("bounds", "--no-sim")],
+                             ids=["simulate", "bounds"])
+    def test_single_step_matches_single_point_command(self, command, skip, tmp_path):
         sweep_out = tmp_path / "sweep.csv"
-        sim_out = tmp_path / "sim.csv"
+        single_out = tmp_path / "single.csv"
         base = ["--case", "equal", "--n", "5", "--k", "2", "--trials", "3000",
                 "--seed", "2", "--gamma-e", "1.0"]
         assert run_cli(["sweep", *base, "--sweep-param", "tau", "--sweep-from", "0.3",
-                        "--sweep-to", "0.3", "--sweep-steps", "1", "--no-bounds",
+                        "--sweep-to", "0.3", "--sweep-steps", "1", skip,
                         "--out", str(sweep_out)]) == 0
-        assert run_cli(["simulate", *base, "--tau", "0.3", "--out", str(sim_out)]) == 0
-        assert read_rows(sweep_out)[1] == read_rows(sim_out)[1]
+        assert run_cli([command, *base, "--tau", "0.3", "--out", str(single_out)]) == 0
+        assert read_rows(sweep_out)[1] == read_rows(single_out)[1]
 
     def test_k_sweep_integer_grid(self, tmp_path):
         out = tmp_path / "k.csv"

@@ -8,9 +8,14 @@ what that command prints:
   unbounded tolerance, m = 0, k = n, ``--exact-region``, d0 = 0 and n = 3000.
 - ``golden/cli_output.txt``: the whole transcript of a run of any command:
   stdout as printed, then each stderr line prefixed with ``! ``, then
-  ``[exit N]``.  The entries cover every command name with and without
-  ``--report`` in both cases, sweep error rows, ``--no-bounds``/``--no-sim``
-  sweeps and rejected runs (exit 2 and 3).
+  ``[exit N]`` with the code ``main`` returned or the ``SystemExit`` code of
+  an argument-parser exit.  The entries cover every command name with and
+  without ``--report`` in both cases, sweep error rows,
+  ``--no-bounds``/``--no-sim`` sweeps, rejected runs (exit 2 and 3) and the
+  parser's own paths: no command, an unknown command or flag, a bad or
+  missing flag value, a flag before the command, an abbreviated flag,
+  ``--``, a stray positional and ``-h``.  Parser messages are wrapped at
+  ``COLUMNS=80``.
 
 Regenerate both with ``PYTHONPATH=src python tests/test_golden_bounds.py``
 only when a change to the output is intended; a new entry is one more
@@ -19,6 +24,7 @@ command line followed by nothing.
 
 import contextlib
 import io
+import os
 import shlex
 from pathlib import Path
 
@@ -29,6 +35,7 @@ from twohopsec.cli import main
 GOLDEN = Path(__file__).parent / "golden" / "bounds_rows.txt"
 CLI_GOLDEN = Path(__file__).parent / "golden" / "cli_output.txt"
 PROMPT = "$ twohopsec "
+COLUMNS = "80"  # argparse wraps usage and help lines at the terminal width
 
 
 def read_golden(path=GOLDEN):
@@ -52,7 +59,10 @@ def data_row(args: str) -> str:
 def transcript(args: str) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(shlex.split(args))
+        try:
+            code = main(shlex.split(args))
+        except SystemExit as exc:  # the argument parser's -h and usage errors
+            code = exc.code
     stderr = "".join("! " + line for line in err.getvalue().splitlines(keepends=True))
     return f"{out.getvalue()}{stderr}[exit {code}]\n"
 
@@ -75,10 +85,12 @@ def test_every_entry_is_a_command_and_a_row():
 
 @pytest.mark.parametrize("args, expected", read_golden(CLI_GOLDEN),
                          ids=[a for a, _ in read_golden(CLI_GOLDEN)])
-def test_cli_output(args, expected):
+def test_cli_output(args, expected, monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     assert transcript(args) == expected
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = COLUMNS
     write_golden(GOLDEN, data_row)
     write_golden(CLI_GOLDEN, transcript)

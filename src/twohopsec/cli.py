@@ -8,7 +8,8 @@ missing quantities are empty cells, never dropped columns, and infinite
 radii are written as the literal string ``inf``.  The first CSV line echoes
 the resolved configuration as a JSON comment so a result file reparses into
 the exact run that produced it.  The argument parser is built once per
-process and reused by every ``main`` call.
+process and reused by every ``main`` call, and a call that opens with a
+command name is parsed by that command's parser alone.
 
 Exit codes: 0 success (including infeasible-but-computed results),
 2 malformed configuration, 3 numeric failure (including out of memory).
@@ -496,11 +497,31 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sweep-scale", choices=["linear", "log"], default="linear")
     sweep.add_argument("--no-bounds", action="store_true", help="skip bound evaluation")
     sweep.add_argument("--no-sim", action="store_true", help="skip Monte Carlo estimation")
+    parser._command_parsers = sub.choices  # command name or alias -> its parser, for _parse_args
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse a call once, with its command's own parser, when that settles it.
+
+    The top-level parser would classify every token, then hand them all to
+    the command's parser to parse again.  It still takes every call that does
+    not open with a command name (no arguments, ``-h``, an unknown command, a
+    flag before the command) and every call the command's parser leaves
+    tokens of, so each usage line and error message is still the one it prints.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser._command_parsers.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         config = load_config(args)
         if args.workers < 1:

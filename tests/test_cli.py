@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -531,6 +532,59 @@ class TestParserReuse:
             assert run_cli(argv) == 0
             assert capsys.readouterr().out == out
         assert reused[1] != reused[2]  # --exact-region changes the general bounds
+
+
+class TestParseDispatch:
+    """A call that opens with a command name is parsed by that command's parser alone."""
+
+    def top_level_parses(self, argv, monkeypatch, capsys) -> int:
+        top = cli.build_parser()
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            if self is top:
+                calls.append(args)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        try:
+            run_cli(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        return len(calls)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--n", "7"], ["tau-range"], ["max-eaves", "--n=7", "--report"],
+        ["simulate", "--trials", "50"],
+        ["sweep", "--sweep-param", "k", "--sweep-from", "1", "--sweep-to", "2", "--no-sim"],
+        ["bounds", "--n", "x"], ["sweep", "-h"],
+    ])
+    def test_a_command_never_reaches_the_top_level_parser(self, argv, monkeypatch, capsys):
+        assert self.top_level_parses(argv, monkeypatch, capsys) == 0
+
+    @pytest.mark.parametrize("argv", [
+        [], ["foo"], ["--case", "general", "bounds"], ["-h"], ["bounds", "--bogus"],
+    ])
+    def test_every_other_call_goes_to_the_top_level_parser(self, argv, monkeypatch, capsys):
+        assert self.top_level_parses(argv, monkeypatch, capsys) == 1
+
+    def run_module(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "twohopsec", *argv], env=env,
+                              capture_output=True, text=True)
+
+    def test_argv_none_reads_the_command_line(self, capsys):
+        argv = ["bounds", "--n", "7", "--k", "2"]
+        proc = self.run_module(*argv)
+        assert run_cli(argv) == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_no_command_exits_2(self):
+        proc = self.run_module()
+        assert proc.returncode == 2
+        assert "the following arguments are required: command" in proc.stderr
 
 
 class TestSetupImports:

@@ -497,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sweep-scale", choices=["linear", "log"], default="linear")
     sweep.add_argument("--no-bounds", action="store_true", help="skip bound evaluation")
     sweep.add_argument("--no-sim", action="store_true", help="skip Monte Carlo estimation")
-    parser._command_parsers = sub.choices  # command name or alias -> its parser, for _parse_args
     return parser
 
 
@@ -512,7 +511,10 @@ def _parse_args(argv) -> argparse.Namespace:
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser._command_parsers.get(argv[0]) if argv else None
+    # the subparsers action maps each command name and alias to its parser
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    command = commands.get(argv[0]) if argv else None
     if command is not None:
         args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not extra:

@@ -92,28 +92,20 @@ def _binom_pmf(n: int, l: np.ndarray, log_p, log_q) -> np.ndarray:
     return np.exp(log_c + l * log_p + (n - l) * log_q)
 
 
-def _binom_upper_masses(x: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """Binomial(n, 1 - e^{-2x}) masses at the counts lo..n, stacked on a new first axis.
-
-    Exploits log(1-p) = -2x exactly; needs 0 <= lo <= n.
-    """
-    with np.errstate(divide="ignore"):
-        log_p = np.log(-np.expm1(-2.0 * x))  # -inf at x = 0 is fine: exp -> 0
-    i = np.arange(lo, n + 1).reshape((-1,) + (1,) * x.ndim)
-    return _binom_pmf(n, i, log_p, -2.0 * x)
-
-
 def _binom_tail(x: np.ndarray, lo: int, n: int) -> np.ndarray:
     """P(Binomial(n, 1 - e^{-2x}) >= lo) with log-space terms.
 
-    Terms are nonnegative, so a plain float64 reduction over at most n+1
-    terms keeps relative error ~ n*eps.
+    Exploits log(1-p) = -2x exactly.  Terms are nonnegative, so a plain
+    float64 reduction over at most n+1 terms keeps relative error ~ n*eps.
     """
     if lo <= 0:
         return np.ones_like(x)
     if lo > n:
         return np.zeros_like(x)
-    return np.add.reduce(_binom_upper_masses(x, lo, n), axis=0)
+    with np.errstate(divide="ignore"):
+        log_p = np.log(-np.expm1(-2.0 * x))  # -inf at x = 0 is fine: exp -> 0
+    i = np.arange(lo, n + 1).reshape((-1,) + (1,) * x.ndim)
+    return np.add.reduce(_binom_pmf(n, i, log_p, -2.0 * x), axis=0)
 
 
 def kth_largest_cdf(x, j: int, n: int):
@@ -133,19 +125,13 @@ def topk_random_cdf(x, k: int, n: int):
 
     The uniform selection makes this the rank mixture (1/k) sum_{j=1}^{k} of
     the j-th-largest CDFs; k = 1 recovers the maximum, k = n the parent.
-    One pass forms the k binomial masses at the counts n-k+1..n, O(k) of
-    them where a tail per rank would form O(k^2); rank j sums the last j.
-    Each rank's sum adds the same masses in the same order as
-    ``kth_largest_cdf``, so the result is bit-identical to ``mixture_cdf``
-    over the k ranks.
     """
     _validate_rank(k, n, "k")
     arr = _validate_x(x)
     pos = np.maximum(arr, 0.0)
-    masses = _binom_upper_masses(pos, n - k + 1, n)
     acc = np.zeros_like(pos)
     for j in range(1, k + 1):
-        acc += np.add.reduce(masses[k - j:], axis=0)
+        acc += _binom_tail(pos, n - j + 1, n)
     out = np.where(arr > 0.0, acc / k, 0.0)
     return _maybe_scalar(out, np.isscalar(x))
 

@@ -82,8 +82,17 @@ class GeometryIntegrals:
         return self.midpoint + self.endpoint
 
 
-_GL_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+# The 16-point Gauss-Legendre rule on [-1, 1], np.polynomial.legendre.leggauss(16)
+# to the bit: written out, since importing numpy.polynomial and its first LAPACK
+# call cost every process set-up time and memory.  The rule is symmetric about 0.
+_GL_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                  0.9445750230732326, 0.9894009349916499)
+_GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                    0.062253523938647456, 0.027152459411754176)
+_GL_NODES = np.concatenate([-np.array(_GL_HALF_NODES[::-1]), _GL_HALF_NODES])
+_GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
 
 
 def _radial_profile(reach: np.ndarray, alpha: float, delta: float) -> np.ndarray:

@@ -8,8 +8,11 @@ missing quantities are empty cells, never dropped columns, and infinite
 radii are written as the literal string ``inf``.  The first CSV line echoes
 the resolved configuration as a JSON comment so a result file reparses into
 the exact run that produced it.  The argument parser is built once per
-process and reused by every ``main`` call, and a call that opens with a
-command name is parsed by that command's parser alone.
+process and reused by every ``main`` call.  A call that opens with a command
+name and holds only exact flags with plain values is read straight off that
+command parser's flag table; any other call that opens with a command name
+goes to that command's parser, and the rest to the top-level parser, so every
+usage line and message is argparse's own.
 
 Exit codes: 0 success (including infeasible-but-computed results),
 2 malformed configuration, 3 numeric failure (including out of memory).
@@ -500,14 +503,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """Parse a call once, with its command's own parser, when that settles it.
+def _table_parse(command: argparse.ArgumentParser, argv: list) -> argparse.Namespace | None:
+    """What ``command.parse_known_args`` makes of ``argv[1:]``, read off its flag table.
 
-    The top-level parser would classify every token, then hand them all to
-    the command's parser to parse again.  It still takes every call that does
-    not open with a command name (no arguments, ``-h``, an unknown command, a
-    flag before the command) and every call the command's parser leaves
-    tokens of, so each usage line and error message is still the one it prints.
+    Read this way only when every token is an exact store flag followed by a value
+    that does not start with ``-``, or an exact store-true switch, and every
+    value converts and is among the flag's choices.  Anything else (``--n=7``,
+    an abbreviation, ``-h``, ``--``, a stray positional, a bad value) gives
+    None and is left to argparse, so every message is still its own.
+    """
+    args = argparse.Namespace(command=argv[0])
+    for action in command._actions:  # the defaults, seeded as argparse seeds them
+        if (action.dest is not argparse.SUPPRESS and not hasattr(args, action.dest)
+                and action.default is not argparse.SUPPRESS):
+            setattr(args, action.dest, action.default)
+    flags = command._option_string_actions
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = flags.get(token)
+        if type(action) is argparse._StoreTrueAction:
+            setattr(args, action.dest, action.const)
+            continue
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None
+        text = next(tokens, "-")  # a missing value is left to argparse, as a dash is
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+    return args
+
+
+def _misplaced_flag(parser: argparse.ArgumentParser, commands: dict, argv: list) -> str | None:
+    """The error for a call that opens with a flag of the command it names later."""
+    at = next((i for i, token in enumerate(argv) if token in commands), None)
+    if at is None or argv[0] not in commands[argv[at]]._option_string_actions:
+        return None
+    if any(token == "-h" or len(token) > 2 and "--help".startswith(token) for token in argv):
+        return None  # argparse prints help wherever -h or --help (abbreviated or not) stands
+    import shlex  # only on this error path
+
+    call = shlex.join([argv[at], *argv[:at], *argv[at + 1:]])
+    return f"{argv[0]} must come after the command: {parser.prog} {call}"
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse a call with as little of argparse as settles it, in up to three steps.
+
+    1. A call that opens with a command name and is well formed (see
+       ``_table_parse``) is read straight off that command parser's flag table.
+    2. Any other call that opens with a command name goes to that command's
+       parser alone.
+    3. The top-level parser takes the rest: no arguments, ``-h``, an unknown
+       command, and every call the command's parser leaves tokens of, so each
+       usage line and message is argparse's own.  A call that opens with a
+       flag of the command it names later, and asks for no help, is stopped
+       with a message saying where the flag belongs.
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -516,9 +572,16 @@ def _parse_args(argv) -> argparse.Namespace:
                     if isinstance(a, argparse._SubParsersAction))
     command = commands.get(argv[0]) if argv else None
     if command is not None:
+        args = _table_parse(command, argv)
+        if args is not None:
+            return args
         args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if not extra:
             return args
+    elif argv:
+        message = _misplaced_flag(parser, commands, argv)
+        if message is not None:
+            parser.error(message)
     return parser.parse_args(argv)
 
 

@@ -62,7 +62,8 @@ def evaluate_bounds(
     """Evaluate all bounds for ``params``, dispatching on the path-loss case.
 
     ``p_region`` overrides the pi*r^2 in-region probability of the
-    distance-dependent case (useful once pi*r^2 would exceed 1).
+    distance-dependent case (useful once pi*r^2 would exceed 1).  With one
+    relay the window and the tolerance are None and the report infeasible.
     """
     p = params
     if p.is_general:
@@ -74,6 +75,16 @@ def evaluate_bounds(
         bound_s = bgen.secrecy_bound_general(
             p.n, p.m, p.gamma_e, p.tau, p.d0, p.alpha, p.delta
         )
+    else:
+        bound_t = beq.transmission_bound_equal(p.n, p.k, p.gamma_r, p.tau)
+        bound_s = beq.secrecy_bound_equal(p.n, p.m, p.gamma_e, p.tau)
+    if p.n == 1:
+        # a lone relay has no one to jam it: tau tunes neither bound, so there
+        # is no window to find and no tolerance to trade against it
+        beq._check_eps(eps_t, "eps_t")
+        beq._check_eps(eps_s, "eps_s")
+        tau_lo = tau_hi = tolerance = None
+    elif p.is_general:
         tau_hi = bgen.tau_max_general(
             p.n, p.k, p.r, p.gamma_r, p.alpha, p.delta, eps_t, p_region, sums=sums
         )
@@ -87,8 +98,6 @@ def evaluate_bounds(
             eps_t, eps_s, p_region, sums=sums,
         )
     else:
-        bound_t = beq.transmission_bound_equal(p.n, p.k, p.gamma_r, p.tau)
-        bound_s = beq.secrecy_bound_equal(p.n, p.m, p.gamma_e, p.tau)
         tau_hi = beq.tau_max_equal(p.n, p.k, p.gamma_r, eps_t)
         tau_lo = beq.tau_min_equal(p.n, p.m, p.gamma_e, eps_s) if p.m >= 1 else 0.0
         tolerance = beq.max_eaves_equal(p.n, p.k, p.gamma_r, p.gamma_e, eps_t, eps_s)

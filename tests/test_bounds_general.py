@@ -7,6 +7,8 @@ import pytest
 
 from twohopsec.bounds_equal import max_eaves_equal
 from twohopsec.bounds_general import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     GeometryIntegrals,
     _binom_sums,
     QuadratureError,
@@ -38,6 +40,12 @@ def grid_integral(cx, cy, alpha, delta, cells):
 
 
 class TestGeometryIntegrals:
+    def test_quadrature_rule_is_leggauss_16_to_the_bit(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert (_GL_NODES.dtype, _GL_WEIGHTS.dtype) == (nodes.dtype, weights.dtype)
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_clamp_always_binding_is_exact(self):
         geo = geometry_integrals(2.0, 1.5)
         expected = 1.5**-2

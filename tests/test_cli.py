@@ -134,8 +134,16 @@ class TestConfigHandling:
     def test_missing_config_file(self):
         assert run_cli(["bounds", "--config", "/nonexistent/conf.yaml"]) == 2
 
-    def test_n1_is_config_error(self):
-        assert run_cli(["bounds", "--n", "1", "--k", "1"]) == 2
+    def test_n1_reports_bounds_without_window(self, tmp_path):
+        for case in ("equal", "general"):
+            out = tmp_path / f"{case}.csv"
+            assert run_cli(["bounds", "--case", case, "--n", "1", "--k", "1", "--r", "0.3",
+                            "--out", str(out)]) == 0
+            (row,) = read_rows(out)[1]
+            assert float(row["bound_t"]) < 1.0 and row["bound_s"] == "1.0"
+            assert (row["tau_min"], row["tau_max"], row["max_m"], row["feasible"]) == (
+                "", "", "", "false")
+            assert run_cli(["bounds", "--case", case, "--n", "1", "--eps-s", "1"]) == 2
 
 
 class TestConfigRoundTrip:
@@ -534,26 +542,32 @@ class TestParserReuse:
         assert reused[1] != reused[2]  # --exact-region changes the general bounds
 
 
+def _parse_counted(argv, monkeypatch) -> tuple:
+    """(what ``_parse_args`` returns, the parsers whose ``parse_known_args`` it called)."""
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    try:
+        args = cli._parse_args(argv)
+    except SystemExit:
+        args = None
+    finally:
+        monkeypatch.undo()
+    return args, calls
+
+
 class TestParseDispatch:
     """A call that opens with a command name is parsed by that command's parser alone."""
 
     def top_level_parses(self, argv, monkeypatch, capsys) -> int:
-        top = cli.build_parser()
-        calls = []
-        parse_known_args = argparse.ArgumentParser.parse_known_args
-
-        def counted(self, *args, **kwargs):
-            if self is top:
-                calls.append(args)
-            return parse_known_args(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-        try:
-            run_cli(argv)
-        except SystemExit:
-            pass
+        _, calls = _parse_counted(argv, monkeypatch)
         capsys.readouterr()
-        return len(calls)
+        return sum(parser is cli.build_parser() for parser in calls)
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--n", "7"], ["tau-range"], ["max-eaves", "--n=7", "--report"],
@@ -565,10 +579,25 @@ class TestParseDispatch:
         assert self.top_level_parses(argv, monkeypatch, capsys) == 0
 
     @pytest.mark.parametrize("argv", [
-        [], ["foo"], ["--case", "general", "bounds"], ["-h"], ["bounds", "--bogus"],
+        [], ["foo"], ["--bogus", "bounds"], ["-h"], ["bounds", "--bogus"],
+        ["--seed", "-h", "bounds"], ["--case", "general", "simulate", "--he"],
     ])
     def test_every_other_call_goes_to_the_top_level_parser(self, argv, monkeypatch, capsys):
         assert self.top_level_parses(argv, monkeypatch, capsys) == 1
+
+    @pytest.mark.parametrize("argv, call", [
+        (["--case", "general", "bounds"], "twohopsec bounds --case general"),
+        (["--sweep-param", "n", "sweep", "--no-sim"], "twohopsec sweep --sweep-param n --no-sim"),
+        (["--n", "5", "--out", "a b", "max-eaves"], "twohopsec max-eaves --n 5 --out 'a b'"),
+    ], ids=["case", "sweep-flag", "quoted-value"])
+    def test_a_flag_before_its_command_is_named(self, argv, call, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"twohopsec: error: {argv[0]} must come after the command: {call}")
+        assert self.top_level_parses(argv, monkeypatch, capsys) == 0
 
     def run_module(self, *argv):
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -587,6 +616,79 @@ class TestParseDispatch:
         assert "the following arguments are required: command" in proc.stderr
 
 
+def _commands() -> dict:
+    """Each command name and alias, mapped to its parser."""
+    return next(a.choices for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _flag_values(action) -> tuple:
+    """Two values of a store flag that its parser accepts, the second a corner case."""
+    if action.choices is not None:
+        return action.choices[0], action.choices[-1]
+    return {int: ("7", "3"), float: ("0.5", "inf"), None: ("run.csv", "")}[action.type]
+
+
+class TestTableParse:
+    """A well-formed call is read off its command parser's flag table, as argparse reads it."""
+
+    @staticmethod
+    def well_formed(name, command) -> list:
+        """Every store flag and switch, each flag twice in either order, inf, nan and ""."""
+        stores = [a for a in command._actions if type(a) is argparse._StoreAction]
+        switches = [a.option_strings[0] for a in command._actions
+                    if type(a) is argparse._StoreTrueAction]
+
+        def flags(values, actions=stores):
+            return [t for a in actions for v in values(a) for t in (a.option_strings[0], v)]
+
+        return [
+            [name],
+            [name, *flags(lambda a: _flag_values(a)[:1]), *switches],
+            [name, *switches, *flags(_flag_values), *switches],
+            [name, *flags(lambda a: _flag_values(a)[::-1], stores[::-1])],
+            [name, *flags(lambda a: ["nan"], [a for a in stores if a.type is float])],
+        ]
+
+    def test_well_formed_calls_match_argparse(self, monkeypatch):
+        checked = 0
+        for name, command in _commands().items():
+            for argv in self.well_formed(name, command):
+                args, calls = _parse_counted(argv, monkeypatch)
+                expected, extra = command.parse_known_args(
+                    argv[1:], argparse.Namespace(command=name))
+                assert extra == [] and calls == [], argv
+                assert [(k, repr(v)) for k, v in vars(args).items()] == [
+                    (k, repr(v)) for k, v in vars(expected).items()], argv
+                checked += 1
+        assert checked == 5 * 5
+
+    @pytest.mark.parametrize("tail", [
+        ["--n=7"], ["--ca", "general"], ["--tau", "-1"], ["--n", "x"], ["--case", "foo"],
+        ["--report=1"], ["--", "--n", "7"], ["--n", "7", "extra"], ["-h"], ["--n"],
+    ])
+    def test_irregular_calls_reach_the_command_parser(self, tail, monkeypatch, capsys):
+        command = _commands()["bounds"]
+        _, calls = _parse_counted(["bounds", *tail], monkeypatch)
+        capsys.readouterr()
+        assert calls[0] is command
+
+    def test_every_command_parser_is_one_the_table_reproduces(self):
+        for name, command in _commands().items():
+            assert (command.prefix_chars, command.fromfile_prefix_chars) == ("-", None), name
+            assert command._mutually_exclusive_groups == [] and command._defaults == {}, name
+            for action in command._actions:
+                where = (name, action.dest)
+                assert action.option_strings and not action.required, where
+                if type(action) is argparse._StoreAction:
+                    assert action.nargs is None and action.type in (None, int, float), where
+                    # argparse converts a string default through the flag's type
+                    assert not (isinstance(action.default, str) and action.type), where
+                else:
+                    assert type(action) in (argparse._StoreTrueAction,
+                                            argparse._HelpAction), where
+
+
 class TestSetupImports:
     """What a run imports, seen from a fresh interpreter."""
 
@@ -598,7 +700,7 @@ class TestSetupImports:
             f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
             "assert codes == [0] * len(codes), codes\n"
             "print(' '.join(m for m in ('scipy', 'yaml', 'concurrent.futures.process',"
-            " 'twohopsec.protocol') if m in sys.modules))\n"
+            " 'twohopsec.protocol', 'numpy.polynomial') if m in sys.modules))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

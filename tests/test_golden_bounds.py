@@ -18,8 +18,9 @@ what that command prints:
   ``COLUMNS=80``.
 
 Regenerate both with ``PYTHONPATH=src python tests/test_golden_bounds.py``
-only when a change to the output is intended; a new entry is one more
-command line followed by nothing.
+only when a change to the output is intended; it prints the command line of
+every entry whose output changed, so a re-pin shows exactly what moved.  A
+new entry is one more command line followed by nothing.
 """
 
 import contextlib
@@ -68,7 +69,12 @@ def transcript(args: str) -> str:
 
 
 def write_golden(path, render) -> None:
-    path.write_text("".join(f"{PROMPT}{args}\n{render(args)}" for args, _ in read_golden(path)))
+    """Re-render every entry of ``path`` and print the command line of each that moved."""
+    entries = [(args, old, render(args)) for args, old in read_golden(path)]
+    for args, old, new in entries:
+        if new != old:
+            print(f"{path.name}: {PROMPT}{args}")
+    path.write_text("".join(f"{PROMPT}{args}\n{new}" for args, _, new in entries))
 
 
 @pytest.mark.parametrize("args, row", read_golden(), ids=[a for a, _ in read_golden()])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twohopsec import bounds_equal as beq
 from twohopsec import bounds_general as bgen
 from twohopsec.model import Case, ProtocolParams
 from twohopsec.reports import TauWindow, evaluate_bounds
@@ -25,6 +26,23 @@ def test_equal_dispatch_matches_worked_example():
     assert rep.window.tau_max == pytest.approx(0.11476090125660518)
     assert not rep.feasible
     assert rep.max_eaves.count == 0
+
+
+@pytest.mark.parametrize("case", [Case.EQUAL_PATH_LOSS, Case.DISTANCE_DEPENDENT])
+def test_one_relay_has_both_bounds_and_no_window(case):
+    p = ProtocolParams(n=1, m=2, k=1, r=0.3, tau=0.4, gamma_r=1.0, gamma_e=1.5, case=case)
+    rep = evaluate_bounds(p, 0.19, 0.19)
+    if p.is_general:
+        bound_t = bgen.transmission_bound_general(1, 1, 0.3, 1.0, 0.4, p.alpha, p.delta)
+        bound_s = bgen.secrecy_bound_general(1, 2, 1.5, 0.4, p.d0, p.alpha, p.delta)
+    else:
+        bound_t = beq.transmission_bound_equal(1, 1, 1.0, 0.4)
+        bound_s = beq.secrecy_bound_equal(1, 2, 1.5, 0.4)
+    assert (rep.bound_t, rep.bound_s) == (bound_t, bound_s)
+    assert rep.window == TauWindow(None, None) and rep.max_eaves is None
+    assert not rep.feasible
+    with pytest.raises(ValueError, match="eps_t"):
+        evaluate_bounds(p, 1.0, 0.19)
 
 
 def test_general_dispatch_zero_radius():

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds_general import QuadratureError, disc_square_overlap
-from .model import Case, ProtocolParams
+from .model import Case, ProtocolParams, derived_fields
 from .montecarlo import EstimateReport, estimate
 from .reports import BoundReport, evaluate_bounds
 
@@ -298,6 +298,8 @@ def _csv_row(point: _Point) -> str:
     est, bnd = point.est, point.bnd
     scenario = point.params or point.config
     cells = {name: getattr(scenario, name) for name in _PARAM_COLUMNS}
+    if point.params is None:  # rejected: the cells that the model derives
+        cells.update(derived_fields(Case(point.config.case), point.config))
     if est is not None:
         cells.update(
             trials=point.config.trials, seed=point.config.seed,

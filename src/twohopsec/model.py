@@ -19,6 +19,7 @@ __all__ = [
     "Case",
     "ConfigurationError",
     "ProtocolParams",
+    "derived_fields",
     "NetworkInstance",
     "TrialOutcome",
     "SOURCE",
@@ -109,14 +110,12 @@ class ProtocolParams:
             raise ValueError("capture radius d0 must be nonnegative")
         if self.es <= 0:
             raise ValueError("transmit power es must be positive")
-        if self.n0 is None:
-            object.__setattr__(self, "n0", 1e-6 * self.es)
+        for name, value in derived_fields(self.case, self).items():
+            object.__setattr__(self, name, value)
         if self.n0 < 0:
             raise ValueError("noise level n0 must be nonnegative")
         if self.delta is None:
-            if self.d0 <= 0:
-                raise ValueError("delta defaults to d0; give an explicit delta when d0 = 0")
-            object.__setattr__(self, "delta", self.d0)
+            raise ValueError("delta defaults to d0; give an explicit delta when d0 = 0")
         if self.delta <= 0:
             raise ValueError("distance clamp delta must be positive")
         if self.is_general:
@@ -128,12 +127,18 @@ class ProtocolParams:
                     f"path loss delta^-alpha = {self.delta!r}^-{self.alpha!r} overflows; "
                     "lower alpha or raise delta"
                 ) from None
-        if self.case is Case.EQUAL_PATH_LOSS:
-            object.__setattr__(self, "r", math.inf)
 
     @property
     def is_general(self) -> bool:
         return self.case is Case.DISTANCE_DEPENDENT
+
+
+def derived_fields(case: Case, p) -> dict:
+    """The fields that ``ProtocolParams`` derives, read off ``p`` (any object with its
+    field names): r = inf in the equal case, n0 = 1e-6 * es and delta = d0 when d0 > 0."""
+    return {"r": math.inf if case is Case.EQUAL_PATH_LOSS else p.r,
+            "n0": 1e-6 * p.es if p.n0 is None else p.n0,
+            "delta": p.d0 if p.delta is None and p.d0 > 0 else p.delta}
 
 
 # NaN is rejected in every float field; infinity only where it means something

@@ -35,7 +35,12 @@ does a NaN SINR in ``_reduce``; an SINR quotient may overflow to the right
 
 Distances are handled squared, so no square root is taken: the region test
 is x^2 + y^2 <= r^2, capture is d^2 < d0^2, and path loss is
-max(d^2, delta^2)^(-alpha/2).
+max(d^2, delta^2)^(-alpha/2).  Each squared distance is an exact coordinate
+difference, except the relay->eavesdropper ones of the jammer interference:
+those come from one stacked matmul of Gram factors, |r - e|^2 = |r|^2 +
+|e|^2 - 2 r.e, within 1e-15 absolute on the unit square, so within
+1e-15/delta^2 relative at the clamp (~4e-13 at the default delta = 0.05).
+Capture and the selected relay's own hop-2 path loss keep exact differences.
 
 Neither SINR threshold enters a draw, the relay selection or the jammer
 sets, so each trial is reduced to two statistics: the legitimate bottleneck
@@ -273,6 +278,17 @@ def _legit_sinr(params, g_sr, g_dr, g_rr, jammers, jstar, rx, ry) -> np.ndarray:
         return np.minimum(sig1 / (intf1 + noise), sig2 / (intf2 + noise))
 
 
+def _gram_d2(rx, ry, ex, ey, rel_f, eav_f, out) -> np.ndarray:
+    """Squared distances (h, n, m) from relays (rx, ry) to eavesdroppers (ex, ey):
+    one stacked product of Gram factors, [x, y, x^2+y^2, 1] per relay in ``rel_f``
+    (h, n, 4) and [-2x', -2y', 1, x'^2+y'^2] per eavesdropper in ``eav_f`` (h, 4, m)."""
+    rel_f[..., 0], rel_f[..., 1], rel_f[..., 3] = rx, ry, 1.0
+    eav_f[:, 0], eav_f[:, 1], eav_f[:, 2] = -2.0 * ex, -2.0 * ey, 1.0
+    np.add(rx * rx, ry * ry, out=rel_f[..., 2])
+    np.add(ex * ex, ey * ey, out=eav_f[:, 3])
+    return np.matmul(rel_f, eav_f, out=out)
+
+
 def _eaves(params, rng, g_se, eav, jammers, jstar, rx, ry) -> np.ndarray:
     """Eavesdropper stage: each trial's strongest eavesdropper SINR, the
     maximum over eavesdroppers and both hops with capture as +inf.
@@ -281,46 +297,39 @@ def _eaves(params, rng, g_se, eav, jammers, jstar, rx, ry) -> np.ndarray:
     trials, each about _CHUNK_ELEMS values so it stays in cache, and the
     relays -> eavesdroppers gains are drawn tile by tile, in trial order.
     """
-    size, n = len(jstar), jammers.shape[2]
-    m = g_se.shape[1]
+    (size, m), n = g_se.shape, jammers.shape[2]
     es, general = params.es, rx is not None
     tile = min(size, max(1, _CHUNK_ELEMS // (n * m)))
-    g_tile = np.empty((tile, n, m))
-    sig_e2 = np.empty((size, m))
-    intf_e = np.empty((size, 2, m))
+    g_tile, sig_e2, intf_e = np.empty((tile, n, m)), np.empty((size, m)), np.empty((size, 2, m))
     if general:
         # contiguous copies of the coordinate planes, read once per tile
         ex, ey = eav[..., 0].copy(), eav[..., 1].copy()
+        rows = np.arange(size)
         d2_se = (ex + 0.5) ** 2 + ey * ey
+        d2_sel = (rx[rows, jstar, None] - ex) ** 2 + (ry[rows, jstar, None] - ey) ** 2
         d0_sq = params.d0 * params.d0
-        captured1 = d2_se < d0_sq
-        captured2 = np.empty((size, m), dtype=bool)
-        sig_e1 = es * g_se * _path_loss(d2_se, params)
-        d2_tile, dy_tile = np.empty_like(g_tile), np.empty_like(g_tile)
+        captured1, captured2 = d2_se < d0_sq, d2_sel < d0_sq
+        sig_e1 = np.multiply(es * g_se, _path_loss(d2_se, params, out=d2_se), out=d2_se)
+        pl_e2 = _path_loss(d2_sel, params, out=d2_sel)
+        gram_bufs = np.empty((tile, n, 4)), np.empty((tile, 4, m)), np.empty_like(g_tile)
     else:
-        pl_unit = _unit_path_loss(params)
-        sig_e1 = es * g_se * pl_unit
+        pl_e2 = _unit_path_loss(params)  # every link's path loss
+        sig_e1 = es * g_se * pl_e2
     for lo in range(0, size, tile):
         hi = min(lo + tile, size)
-        h = hi - lo
-        rows, sel = np.arange(h), jstar[lo:hi]
-        g_re = rng.standard_exponential(out=g_tile[:h])
+        g_re = rng.standard_exponential(out=g_tile[:hi - lo])
+        sig_e2[lo:hi] = g_re[np.arange(hi - lo), jstar[lo:hi], :]
         if general:
-            # squared relay->eavesdropper distances, built in place
-            d2 = np.subtract(rx[lo:hi, :, None], ex[lo:hi, None, :], out=d2_tile[:h])
-            np.square(d2, out=d2)
-            dy = np.subtract(ry[lo:hi, :, None], ey[lo:hi, None, :], out=dy_tile[:h])
-            d2 += np.square(dy, out=dy)
-            captured2[lo:hi] = d2[rows, sel, :] < d0_sq
+            d2 = _gram_d2(rx[lo:hi], ry[lo:hi], ex[lo:hi], ey[lo:hi],
+                          *(buf[:hi - lo] for buf in gram_bufs))
             weighted = _path_loss(d2, params, out=d2)
-            sig_e2[lo:hi] = es * g_re[rows, sel, :] * weighted[rows, sel, :]
             weighted *= g_re
         else:
-            sig_e2[lo:hi] = es * g_re[rows, sel, :] * pl_unit
-            weighted = np.multiply(g_re, pl_unit, out=g_re)
+            weighted = np.multiply(g_re, pl_e2, out=g_re)
         # both hops' jammer interference in one stacked product
         np.matmul(jammers[lo:hi], weighted, out=intf_e[lo:hi])
     intf_e *= es
+    np.multiply(es * sig_e2, pl_e2, out=sig_e2)
     noise = params.n0 / 2.0
     # SINRs overwrite the signal arrays; an overflow is the right +inf here too
     with np.errstate(over="ignore"):
@@ -450,14 +459,8 @@ def estimate(
     else:
         results = [_run_batch(t) for t in tasks]
 
-    t_counts = sum(r[0] for r in results)
-    s_counts = sum(r[1] for r in results)
-    nc_count = sum(r[2] for r in results)
-    c_sum = sum(r[4] for r in results)
-    log_c_sum = sum(r[5] for r in results)
-    hist = np.zeros(params.n, dtype=np.int64)
-    for r in results:
-        hist += r[3]
+    # each field summed over the batches, in batch order
+    t_counts, s_counts, nc_count, hist, c_sum, log_c_sum = map(sum, zip(*results))
 
     jain, entropy = load_balance(hist) if params.n else (math.nan, math.nan)
     n_selected = trials - nc_count

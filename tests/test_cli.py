@@ -342,11 +342,22 @@ class TestThresholdSweepMatchesSimulate:
                         "--sweep-to", "1.5", "--sweep-steps", "4", "--no-bounds",
                         "--out", str(out)]) == 0
         first, *rest = csv_lines(out)
-        assert first == "general,8,3,2,0.35,0.4,1.0,0.0,2.0,0.05,," + "," * 16 + "error"
+        assert first == "general,8,3,2,0.35,0.4,1.0,0.0,2.0,0.05,0.05," + "," * 16 + "error"
         assert len(rest) == 3
         for row in rest:
             value = dict(zip(HEADER_COLUMNS, row.split(",")))["gamma_e"]
             assert row == self._simulate_row(tmp_path, base, "gamma_e", value)
+
+    def test_error_row_derives_its_cells_as_the_model_does(self, tmp_path):
+        # equal case: r is forced to inf and delta defaults to d0, as on the valid row
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--case", "equal", "--r", "0.4", "--d0", "0.1",
+                        "--sweep-param", "gamma_e", "--sweep-from", "0", "--sweep-to", "1",
+                        "--sweep-steps", "2", "--trials", "100", "--out", str(out)]) == 0
+        error, valid = (dict(zip(HEADER_COLUMNS, row.split(","))) for row in csv_lines(out))
+        assert error["feasible"] == "error" and valid["feasible"] != "error"
+        assert [error[c] for c in ("r", "delta")] == [valid[c] for c in ("r", "delta")]
+        assert [error[c] for c in ("r", "delta")] == ["inf", "0.1"]
 
     def test_rows_with_bounds_and_report(self, tmp_path, capsys):
         base = [*self.SCENARIOS["general"], "--trials", "2000", "--seed", "4",
@@ -392,9 +403,11 @@ class TestNonFiniteInput:
 
 
 class TestGoldenCounts:
-    """Estimate cells of three fixed-seed runs, pinned so that any change to the
+    """Estimate cells of five fixed-seed runs, pinned so that any change to the
     geometry, the draws, the relay selection or the comparisons of the engine
-    shows up here.  Each row is (p_t_hat, p_t_lo, p_t_hi), (p_s_hat, p_s_lo,
+    shows up here.  The two small-clamp runs (d0 = delta = 0.001; d0 = 0,
+    delta = 1e-4) are where the Gram-form jammer distances carry their largest
+    error relative to the clamp.  Each row is (p_t_hat, p_t_lo, p_t_hi), (p_s_hat, p_s_lo,
     p_s_hi), (jain, entropy, no_candidate_rate): the load-balance cells come
     from the selection histogram, so a wrong relay index shows even when the
     outage counts are right."""
@@ -433,6 +446,22 @@ class TestGoldenCounts:
             [(("0.6466666666666666", "0.6221300756908744", "0.6704539579645389"),
               ("0.952", "0.9399798382607142", "0.9617109563682417"),
               ("0.9512937595129376", "0.9943084301226675", "0.0"))],
+        ),
+        "general d0 = delta = 0.001": (
+            ["simulate", "--case", "general", "--n", "40", "--m", "20", "--k", "3", "--r", "0.4",
+             "--tau", "0.5", "--gamma-r", "0.5", "--gamma-e", "1.0", "--d0", "0.001",
+             "--trials", "4096", "--seed", "21"],
+            [(("0.99072265625", "0.987292434466316", "0.993233285949307"),
+              ("0.5126953125", "0.49738330356080873", "0.5279835309972073"),
+              ("0.9863751810810303", "0.9981249461579964", "0.0"))],
+        ),
+        "general d0 = 0 delta = 1e-4": (
+            ["simulate", "--case", "general", "--n", "40", "--m", "20", "--k", "3", "--r", "0.4",
+             "--tau", "0.5", "--gamma-r", "0.5", "--gamma-e", "1.0", "--d0", "0", "--delta",
+             "1e-4", "--alpha", "3", "--trials", "4096", "--seed", "21"],
+            [(("0.998291015625", "0.9964763422189936", "0.9991719141831389"),
+              ("0.69775390625", "0.6835102840792282", "0.7116269465360228"),
+              ("0.9863751810810303", "0.9981249461579964", "0.0"))],
         ),
         "equal": (
             ["simulate", "--case", "equal", "--n", "6", "--m", "3", "--k", "2", "--tau", "0.3",

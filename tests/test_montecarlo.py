@@ -379,6 +379,60 @@ def _traced_peak_mib(fn) -> float:
         tracemalloc.stop()
 
 
+def _exact_d2(rx, ry, ex, ey):
+    return (rx[:, :, None] - ex[:, None, :]) ** 2 + (ry[:, :, None] - ey[:, None, :]) ** 2
+
+
+def _gram_d2(rx, ry, ex, ey):
+    (h, n), m = rx.shape, ex.shape[1]
+    return montecarlo._gram_d2(rx, ry, ex, ey, np.empty((h, n, 4)), np.empty((h, 4, m)),
+                               np.empty((h, n, m)))
+
+
+class TestGramDistances:
+    """The jammer interference takes its relay->eavesdropper squared distances
+    from the Gram form |r|^2 + |e|^2 - 2 r.e; they stay within 1e-15 of the
+    exact differences on the unit square, and capture is decided exactly."""
+
+    def test_uniform_positions(self):
+        rng = np.random.default_rng(8)
+        rx, ry = rng.uniform(-0.5, 0.5, (2, 300, 20))
+        ex, ey = rng.uniform(-0.5, 0.5, (2, 300, 10))
+        assert np.abs(_gram_d2(rx, ry, ex, ey) - _exact_d2(rx, ry, ex, ey)).max() <= 1e-15
+
+    def test_square_corners(self):
+        corners = np.array([-0.5, 0.5])
+        x, y = (v.ravel()[None, :] for v in np.meshgrid(corners, corners))
+        d2 = _gram_d2(x, y, x, y)
+        assert np.abs(d2 - _exact_d2(x, y, x, y)).max() <= 1e-15
+        assert sorted(set(d2.ravel().tolist())) == [0.0, 1.0, 2.0]
+
+    def test_coincident_points_clamp_to_the_path_loss_at_delta(self):
+        rng = np.random.default_rng(9)
+        rx, ry = rng.uniform(-0.5, 0.5, (2, 50, 40))
+        d2 = _gram_d2(rx, ry, rx, ry)
+        on_diagonal = d2[:, np.arange(40), np.arange(40)]
+        assert np.abs(d2 - _exact_d2(rx, ry, rx, ry)).max() <= 1e-15
+        assert (on_diagonal < 0).any() and (on_diagonal > 0).any()  # rounding, both ways
+        p = general_params(d0=1e-6, delta=1e-6)
+        at_clamp = montecarlo._path_loss(np.array([p.delta ** 2]), p)[0]
+        assert at_clamp == pytest.approx(p.delta ** -p.alpha, rel=1e-12)
+        assert (montecarlo._path_loss(on_diagonal, p) == at_clamp).all()
+
+    def test_capture_one_ulp_inside_and_outside_d0(self):
+        # The selected relay 0 sits at (0.25, 0) and d0 = 2^-4, so an
+        # eavesdropper at x = 0.3125 is exactly d0 away; one ulp nearer is
+        # captured (+inf), exactly at d0 and one ulp farther are not.  Each
+        # trial has one eavesdropper, relay 1 sits far away and nobody jams.
+        p = general_params(n=2, m=1, k=1, d0=0.0625)
+        xs = np.array([np.nextafter(0.3125, 0.0), 0.3125, np.nextafter(0.3125, 1.0)])
+        eav = np.stack([xs, np.zeros(3)], axis=1)[:, None, :]
+        rx, ry = np.tile([0.25, -0.25], (3, 1)), np.zeros((3, 2))
+        eav_max = montecarlo._eaves(p, np.random.default_rng(0), np.ones((3, 1)), eav,
+                                    np.zeros((3, 2, 2)), np.zeros(3, dtype=np.int64), rx, ry)
+        assert np.isinf(eav_max[0]) and np.isfinite(eav_max[1:]).all()
+
+
 class TestEngineMemory:
     """A batch keeps its draws; everything else lives for one trial chunk.
     The tracemalloc peak of ``estimate`` is the draws of one batch plus a
@@ -409,6 +463,13 @@ class TestEngineMemory:
 
     def test_equal_hundred_relays_fifty_eavesdroppers(self):
         self.assert_within_allowance(equal_params(n=100, m=50, k=3, tau=0.5), 4096)
+
+    def test_general_at_the_sweep_benchmark_shape(self):
+        # n=20, m=10: the batch's peak is its draws plus about 15 chunk arrays,
+        # so building the Gram factors chunk-wide (6 chunk arrays more) fails
+        p = general_params(n=20, m=10, k=3, r=0.4, tau=0.5)
+        peak = _traced_peak_mib(lambda: estimate(p, 4096, seed=1))
+        assert peak <= (self.draw_bytes(p, 4096) + 15 * montecarlo._CHUNK_ELEMS * 8) / 2**20
 
 
 class TestEngineAgainstExactLaw:

@@ -8,7 +8,8 @@ the same clamp the simulator applies -- which makes bound and simulation
 describe one regularized model.  The integrals are evaluated by exact
 radial integration in polar coordinates followed by panel Gauss-Legendre
 quadrature over the angle, with a resolution-doubling convergence check.
-They are cached per (alpha, delta), and each bound looks them up there.
+They are cached per (alpha, delta), and the binomial masses of the in-region
+relay count per (n, k, r, p_region); each bound looks both up there.
 The secrecy, tau-window and tolerance algebra is shared with
 ``bounds_equal``, whose case is the capture share 0 at level gamma_e.
 """
@@ -237,12 +238,14 @@ def _binom_sums(n: int, k: int, p: float):
     return float(pmf[1 : k + 1].sum()), float(pmf[k + 1 :].sum())
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def region_sums(n: int, k: int, r: float, p_region=None):
     """(P(1 <= L <= k), P(L > k)) for the in-region relay count L.
 
+    Cached per (n, k, r, p_region), argument types included, so
     ``transmission_bound_general``, ``tau_max_general`` and
-    ``max_eaves_general`` each take these as ``sums``, so one evaluation of
-    all three pays for the binomial masses once.
+    ``max_eaves_general`` pay for the binomial masses once per distinct
+    input; they pass ``p_region`` positionally to share one key.
     """
     return _binom_sums(n, k, _region_probability(n, k, r, p_region))
 
@@ -256,15 +259,13 @@ def transmission_bound_general(
     alpha: float,
     delta: float,
     p_region=None,
-    sums=None,
 ) -> float:
     """Upper bound on transmission outage in the distance-dependent case.
 
     1 - U^(phi1+phi2) * P(1 <= L <= k) - U^(2(phi1+phi2))/k^2 * P(L > k)
     with L the binomial in-region relay count and U the survival base.
-    ``sums`` is ``region_sums(n, k, r, p_region)`` when already known.
     """
-    s1, s2 = region_sums(n, k, r, p_region) if sums is None else sums
+    s1, s2 = region_sums(n, k, r, p_region)
     u = channel_survival_base(n, gamma_r, tau, r, alpha)
     phi = geometry_integrals(alpha, delta).hop_sum
     value = 1.0 - u**phi * s1 - (u ** (2.0 * phi)) / (k * k) * s2
@@ -323,19 +324,16 @@ def tau_max_general(
     delta: float,
     eps_t: float,
     p_region=None,
-    sums=None,
 ):
     """Largest jamming threshold keeping the transmission bound within eps_t.
 
     Inverts the quadratic in U^(phi1+phi2); when the above-k binomial mass
     vanishes (k = n or tiny regions) the quadratic degenerates and the
     linear inversion is used instead.  ``None`` marks infeasibility.
-    ``sums`` is ``region_sums(n, k, r, p_region)`` when already known.
     """
     _check_reliability(n, k, gamma_r, eps_t)
-    sums = region_sums(n, k, r, p_region) if sums is None else sums
     denom = gamma_r * (n - 1) * geometry_integrals(alpha, delta).hop_sum * (0.5 + r) ** alpha
-    return _root(_survival_target(k, eps_t, sums), 1, denom)
+    return _root(_survival_target(k, eps_t, region_sums(n, k, r, p_region)), 1, denom)
 
 
 def tau_min_general(
@@ -371,23 +369,20 @@ def max_eaves_general(
     eps_t: float,
     eps_s: float,
     p_region=None,
-    sums=None,
 ):
     """Tolerable eavesdropper count in the distance-dependent case.
 
     (1-sqrt(1-eps_s)) / (pi*d0^2 + (1-pi*d0^2)*omega) where omega is the
     per-eavesdropper factor at the largest admissible jamming threshold.
     ``None`` when the reliability requirement is infeasible.
-    ``sums`` is ``region_sums(n, k, r, p_region)`` when already known.
     """
     _check_reliability(n, k, gamma_r, eps_t)
     _check_secrecy(n, gamma_e, eps_s)
     cap = math.pi * d0 * d0
     if cap >= 1.0:
         raise ValueError("pi*d0^2 must be below 1")
-    sums = region_sums(n, k, r, p_region) if sums is None else sums
     denom = gamma_r * geometry_integrals(alpha, delta).hop_sum * (0.5 + r) ** alpha
-    exponent = _root(_survival_target(k, eps_t, sums), n - 1, denom)
+    exponent = _root(_survival_target(k, eps_t, region_sums(n, k, r, p_region)), n - 1, denom)
     if exponent is None:
         return None
     # an unbounded exponent drives omega to 0, or keeps it at 1 when d0 = 0

@@ -218,7 +218,7 @@ class RunConfig:
                               case=Case(self.case))
 
     def p_region(self, params: ProtocolParams):
-        if self.exact_region and params.is_general and math.isfinite(params.r):
+        if self.exact_region and params.is_general:
             return disc_square_overlap(params.r)
         return None
 

@@ -67,10 +67,8 @@ def evaluate_bounds(
     """
     p = params
     if p.is_general:
-        # the binomial masses of the in-region relay count, shared by three bounds
-        sums = bgen.region_sums(p.n, p.k, p.r, p_region)
         bound_t = bgen.transmission_bound_general(
-            p.n, p.k, p.r, p.gamma_r, p.tau, p.alpha, p.delta, p_region, sums=sums
+            p.n, p.k, p.r, p.gamma_r, p.tau, p.alpha, p.delta, p_region
         )
         bound_s = bgen.secrecy_bound_general(
             p.n, p.m, p.gamma_e, p.tau, p.d0, p.alpha, p.delta
@@ -86,7 +84,7 @@ def evaluate_bounds(
         tau_lo = tau_hi = tolerance = None
     elif p.is_general:
         tau_hi = bgen.tau_max_general(
-            p.n, p.k, p.r, p.gamma_r, p.alpha, p.delta, eps_t, p_region, sums=sums
+            p.n, p.k, p.r, p.gamma_r, p.alpha, p.delta, eps_t, p_region
         )
         tau_lo = (
             bgen.tau_min_general(p.n, p.m, p.gamma_e, p.d0, p.alpha, p.delta, eps_s)
@@ -95,7 +93,7 @@ def evaluate_bounds(
         )
         tolerance = bgen.max_eaves_general(
             p.n, p.k, p.r, p.gamma_r, p.gamma_e, p.d0, p.alpha, p.delta,
-            eps_t, eps_s, p_region, sums=sums,
+            eps_t, eps_s, p_region,
         )
     else:
         tau_hi = beq.tau_max_equal(p.n, p.k, p.gamma_r, eps_t)

@@ -26,12 +26,16 @@ new entry is one more command line followed by nothing.
 import contextlib
 import io
 import os
+import random
 import shlex
 from pathlib import Path
 
 import pytest
 
+from twohopsec import bounds_general as bgen
 from twohopsec.cli import main
+from twohopsec.model import Case, ProtocolParams
+from twohopsec.reports import evaluate_bounds
 
 GOLDEN = Path(__file__).parent / "golden" / "bounds_rows.txt"
 CLI_GOLDEN = Path(__file__).parent / "golden" / "cli_output.txt"
@@ -87,6 +91,28 @@ def test_every_entry_is_a_command_and_a_row():
     assert len(lines) % 2 == 0
     assert all(cmd.startswith(PROMPT + "bounds") for cmd in lines[::2])
     assert not any(row.startswith(PROMPT) for row in lines[1::2])
+
+
+def test_bound_caches_are_transparent():
+    """Every row prints the same from cold bound caches and from warm ones, in any order."""
+    rng, golden = random.Random(20131), read_golden()
+    bgen.geometry_integrals.cache_clear()
+    bgen.region_sums.cache_clear()
+    for _ in ("cold", "warm"):
+        entries = rng.sample(golden, len(golden))
+        assert [data_row(args) for args, _ in entries] == [row for _, row in entries]
+    # exceptions are never cached: a rejected input raises on every repeat
+    too_wide = ProtocolParams(n=10, m=1, k=3, r=0.7, tau=0.2, gamma_r=1.0, gamma_e=1.0,
+                              case=Case.DISTANCE_DEPENDENT)
+    bgen.region_sums(4, 2, 0.3, None)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="exceeds 1"):
+            evaluate_bounds(too_wide, 0.19, 0.19)
+        with pytest.raises(ValueError, match="k must satisfy"):
+            bgen.region_sums(4, 5, 0.3, None)
+        # the cache keys on argument types: a float k is no hit for the int one
+        with pytest.raises(TypeError):
+            bgen.region_sums(4, 2.0, 0.3, None)
 
 
 @pytest.mark.parametrize("args, expected", read_golden(CLI_GOLDEN),

@@ -91,18 +91,26 @@ def test_bounds_are_probabilities_at_any_n(general, n, k, m, r, tau, gamma_r, ga
     (10, 3, 0.3, None), (763, 3, 0.25, None), (8, 8, 0.4, None), (40, 2, 0.7, 0.9),
 ])
 def test_general_evaluation_splits_the_binomial_once(monkeypatch, n, k, r, p_region):
-    p = ProtocolParams(n=n, m=3, k=k, r=r, tau=0.4, gamma_r=0.8, gamma_e=1.5,
-                       case=Case.DISTANCE_DEPENDENT)
-    # each bound on its own, splitting the binomial itself
-    standalone = (
-        bgen.transmission_bound_general(n, k, r, p.gamma_r, p.tau, p.alpha, p.delta, p_region),
-        bgen.tau_max_general(n, k, r, p.gamma_r, p.alpha, p.delta, 0.19, p_region),
-        bgen.max_eaves_general(n, k, r, p.gamma_r, p.gamma_e, p.d0, p.alpha, p.delta,
-                               0.19, 0.19, p_region),
-    )
+    bgen.region_sums.cache_clear()
     calls = []
     split = bgen._binom_sums
     monkeypatch.setattr(bgen, "_binom_sums", lambda *a: calls.append(a) or split(*a))
-    rep = evaluate_bounds(p, 0.19, 0.19, p_region=p_region)
-    assert len(calls) == 1
-    assert (rep.bound_t, rep.window.tau_max, rep.max_eaves) == standalone
+    for r_now in (r, r, r - 0.01):
+        # (gamma_e, m, alpha, delta, eps): none of these enters the binomial masses
+        for gamma_e, m, alpha, delta, eps in [(1.5, 3, 2.0, None, 0.19), (0.5, 0, 3.0, 0.02, 0.05),
+                                              (4.0, 10, 2.5, 0.1, 0.3)]:
+            p = ProtocolParams(n=n, m=m, k=k, r=r_now, tau=0.4, gamma_r=0.8, gamma_e=gamma_e,
+                               alpha=alpha, delta=delta, case=Case.DISTANCE_DEPENDENT)
+            rep = evaluate_bounds(p, eps, eps, p_region=p_region)
+            # each bound on its own looks up the same masses
+            standalone = (
+                bgen.transmission_bound_general(n, k, r_now, p.gamma_r, p.tau, p.alpha,
+                                                p.delta, p_region),
+                bgen.tau_max_general(n, k, r_now, p.gamma_r, p.alpha, p.delta, eps, p_region),
+                bgen.max_eaves_general(n, k, r_now, p.gamma_r, p.gamma_e, p.d0, p.alpha,
+                                       p.delta, eps, eps, p_region),
+            )
+            assert (rep.bound_t, rep.window.tau_max, rep.max_eaves) == standalone
+        # one split per distinct (n, k, r, p_region); the second pass at r splits nothing
+        assert len(calls) == (1 if r_now == r else 2)
+

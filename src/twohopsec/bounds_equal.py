@@ -50,15 +50,13 @@ class SaturatingBound:
     def effective(self) -> float:
         return 1.0 if self.saturated else self.value
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class EavesTolerance:
     """Real-valued eavesdropper tolerance plus its integer floor.
 
-    ``count`` is None when the bound is unbounded.
+    ``bound`` is ``math.inf``, and ``count`` None, when the per-eavesdropper
+    factor is 0 or the budget over it passes the largest float.
     """
 
     bound: float
@@ -117,20 +115,15 @@ def _interception(m: int, level: float, J: float, cap: float = 0.0) -> Saturatin
 def _tau_min(n: int, m: int, level: float, eps_s: float, cap: float = 0.0):
     """Smallest tau bringing ``_interception`` with J = (n-1)(1-e^-tau) within eps_s.
 
-    0 when no jamming is needed; ``None`` when the capture share alone
-    exhausts the budget or no threshold reaches it.
+    ``None`` when the capture share alone exhausts the budget or no threshold
+    reaches it; with m >= 1 the budget is below 1, so some jamming is needed.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     budget = _secrecy_budget(eps_s) / m - cap
-    if budget <= 0.0:
+    if budget <= 0.0 or level == 0.0:
         return None
-    ratio = budget / (1.0 - cap)
-    if ratio >= 1.0:
-        return 0.0
-    if level == 0.0:
-        return None
-    bracket = 1.0 + math.log(ratio) / ((n - 1) * math.log1p(level))
+    bracket = 1.0 + math.log(budget / (1.0 - cap)) / ((n - 1) * math.log1p(level))
     if bracket <= 0.0:
         return None
     return -math.log(bracket)
@@ -140,20 +133,20 @@ def _root(target: float | None, scale: float, denom: float):
     """sqrt(-scale * log(target) / denom), the tau_max and tolerance exponent.
 
     ``target`` is the smallest survival level the reliability requirement
-    admits: ``None`` or >= 1 means no threshold meets it (``None``), <= 0
-    means it never binds (``math.inf``).
+    admits, always positive; ``None`` or >= 1 means no threshold meets it.
     """
     if target is None or target >= 1.0:
         return None
-    if target <= 0.0:
-        return math.inf
     return math.sqrt(-scale * math.log(target) / denom)
 
 
-def _tolerance(bound: float) -> EavesTolerance:
-    if math.isinf(bound):
-        return EavesTolerance(bound=bound, count=None)
-    return EavesTolerance(bound=bound, count=int(math.floor(bound)))
+def _tolerance(exponent: float | None, level: float, eps_s: float, cap: float = 0.0):
+    """The secrecy budget over ``_interception``'s factor at J = exponent; None stays None."""
+    if exponent is None:
+        return None
+    factor = cap + (1.0 - cap) * (1.0 / (1.0 + level)) ** exponent
+    bound = _secrecy_budget(eps_s) / factor if factor > 0.0 else math.inf
+    return EavesTolerance(bound, None if math.isinf(bound) else int(math.floor(bound)))
 
 
 def transmission_bound_equal(n: int, k: int, gamma_r: float, tau: float) -> float:
@@ -193,8 +186,7 @@ def _reliability_bracket(k: int, eps_t: float) -> float:
 def tau_max_equal(n: int, k: int, gamma_r: float, eps_t: float):
     """Largest jamming threshold keeping the transmission bound within eps_t.
 
-    Returns the closed-form value, ``math.inf`` when the requirement never
-    binds, or ``None`` when no threshold can satisfy it (the central-binomial
+    Finite, or ``None`` when no threshold can satisfy it (the central-binomial
     relaxation makes k >= 2 infeasible at moderate eps_t).
     """
     _check_reliability(n, k, gamma_r, eps_t)
@@ -204,7 +196,6 @@ def tau_max_equal(n: int, k: int, gamma_r: float, eps_t: float):
 def tau_min_equal(n: int, m: int, gamma_e: float, eps_s: float):
     """Smallest jamming threshold keeping the secrecy bound within eps_s.
 
-    Returns 0 when the budget (1-sqrt(1-eps_s))/m already exceeds 1, and
     ``None`` when jamming cannot reach the target at any threshold.
     """
     _check_secrecy(n, gamma_e, eps_s)
@@ -223,13 +214,7 @@ def max_eaves_equal(
     _check_reliability(n, k, gamma_r, eps_t)
     _check_secrecy(n, gamma_e, eps_s)
     exponent = _root(_reliability_bracket(k, eps_t), n - 1, 2.0 * gamma_r)
-    if exponent is None:
-        return None
-    try:
-        bound = _secrecy_budget(eps_s) * (1.0 + gamma_e) ** exponent
-    except OverflowError:  # float ** raises past the float range instead of giving inf
-        bound = math.inf
-    return _tolerance(bound)
+    return _tolerance(exponent, gamma_e, eps_s)
 
 
 def transmission_bound_equal_binomial_jammers(

@@ -29,7 +29,6 @@ from .bounds_equal import (
     _check_secrecy,
     _interception,
     _root,
-    _secrecy_budget,
     _tau_min,
     _tolerance,
 )
@@ -141,18 +140,20 @@ def _evaluate_integrals(alpha: float, delta: float, panels: int):
     return phi1, phi2, psi
 
 
+_REL_TOL = 1e-4  # the relative change at which the panel doubling stops
+
+
 @functools.lru_cache(maxsize=256)
 def geometry_integrals(
     alpha: float,
     delta: float,
     resolution: int = 8,
-    rel_tol: float = 1e-4,
     max_resolution: int = 4096,
 ) -> GeometryIntegrals:
     """Evaluate the three clamped geometry integrals to a stable resolution.
 
     Starting from ``resolution`` angular panels per segment, the panel count
-    doubles until all three values change by less than ``rel_tol``
+    doubles until all three values change by less than ``_REL_TOL``
     relative; exceeding ``max_resolution`` raises ``QuadratureError``.
     """
     if alpha < 2:
@@ -170,7 +171,7 @@ def geometry_integrals(
             )
         panels *= 2
         cur = _evaluate_integrals(alpha, delta, panels)
-        if all(abs(c - p) <= rel_tol * abs(c) for c, p in zip(cur, prev)):
+        if all(abs(c - p) <= _REL_TOL * abs(c) for c, p in zip(cur, prev)):
             return GeometryIntegrals(
                 midpoint=cur[0],
                 endpoint=cur[1],
@@ -302,17 +303,15 @@ def _survival_target(k: int, eps_t: float, sums) -> float | None:
     """Smallest admissible value of U^(phi1+phi2); None when no region relay exists.
 
     ``sums`` is ``region_sums(n, k, r, p_region)``; nu1 and nu2 are its
-    k^2-scaled masses.
+    k^2-scaled masses.  The positive root of (nu2/k^2) x^2 + nu1 x = (1-eps_t) k^2
+    is rationalized, so a tiny nu2 does not cancel it and nu2 = 0 needs no branch.
     """
     s1, s2 = sums
     nu1, nu2 = k * k * s1, k * k * s2
     if nu1 == 0.0 and nu2 == 0.0:
         return None
-    if nu2 == 0.0:
-        return (1.0 - eps_t) * k * k / nu1
-    return (
-        k * k * math.sqrt(nu1 * nu1 + 4.0 * (1.0 - eps_t) * nu2) - k * k * nu1
-    ) / (2.0 * nu2)
+    c = 1.0 - eps_t
+    return 2.0 * c * k * k / (math.hypot(nu1, 2.0 * math.sqrt(c * nu2)) + nu1)
 
 
 def tau_max_general(
@@ -327,9 +326,8 @@ def tau_max_general(
 ):
     """Largest jamming threshold keeping the transmission bound within eps_t.
 
-    Inverts the quadratic in U^(phi1+phi2); when the above-k binomial mass
-    vanishes (k = n or tiny regions) the quadratic degenerates and the
-    linear inversion is used instead.  ``None`` marks infeasibility.
+    Inverts the quadratic in U^(phi1+phi2), linear when no relay mass lies
+    above k.  Finite, or ``None`` when no threshold meets the requirement.
     """
     _check_reliability(n, k, gamma_r, eps_t)
     denom = gamma_r * (n - 1) * geometry_integrals(alpha, delta).hop_sum * (0.5 + r) ** alpha
@@ -383,9 +381,4 @@ def max_eaves_general(
         raise ValueError("pi*d0^2 must be below 1")
     denom = gamma_r * geometry_integrals(alpha, delta).hop_sum * (0.5 + r) ** alpha
     exponent = _root(_survival_target(k, eps_t, region_sums(n, k, r, p_region)), n - 1, denom)
-    if exponent is None:
-        return None
-    # an unbounded exponent drives omega to 0, or keeps it at 1 when d0 = 0
-    omega = (1.0 / (1.0 + _eaves_level(gamma_e, d0, alpha, delta))) ** exponent
-    factor = cap + (1.0 - cap) * omega
-    return _tolerance(math.inf if factor == 0.0 else _secrecy_budget(eps_s) / factor)
+    return _tolerance(exponent, _eaves_level(gamma_e, d0, alpha, delta), eps_s, cap)

@@ -10,9 +10,8 @@ the resolved configuration as a JSON comment so a result file reparses into
 the exact run that produced it.  The argument parser is built once per
 process and reused by every ``main`` call.  A call that opens with a command
 name and holds only exact flags with plain values is read straight off that
-command parser's flag table; any other call that opens with a command name
-goes to that command's parser, and the rest to the top-level parser, so every
-usage line and message is argparse's own.
+command parser's flag table; every other call goes to the top-level parser,
+so every usage line and message is argparse's own.
 
 Exit codes: 0 success (including infeasible-but-computed results),
 2 malformed configuration, 3 numeric failure (including out of memory).
@@ -555,17 +554,15 @@ def _misplaced_flag(parser: argparse.ArgumentParser, commands: dict, argv: list)
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse a call with as little of argparse as settles it, in up to three steps.
+    """Parse a call with as little of argparse as settles it, in up to two steps.
 
     1. A call that opens with a command name and is well formed (see
        ``_table_parse``) is read straight off that command parser's flag table.
-    2. Any other call that opens with a command name goes to that command's
-       parser alone.
-    3. The top-level parser takes the rest: no arguments, ``-h``, an unknown
-       command, and every call the command's parser leaves tokens of, so each
-       usage line and message is argparse's own.  A call that opens with a
-       flag of the command it names later, and asks for no help, is stopped
-       with a message saying where the flag belongs.
+    2. The top-level parser takes the rest: no arguments, ``-h``, an unknown
+       command, and every call ``_table_parse`` declines, so each usage line
+       and message is argparse's own.  A call that opens with a flag of the
+       command it names later, and asks for no help, is stopped with a message
+       saying where the flag belongs.
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -576,9 +573,6 @@ def _parse_args(argv) -> argparse.Namespace:
     if command is not None:
         args = _table_parse(command, argv)
         if args is not None:
-            return args
-        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
             return args
     elif argv:
         message = _misplaced_flag(parser, commands, argv)

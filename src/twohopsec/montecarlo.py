@@ -121,10 +121,6 @@ class ComparisonRow:
     s_pass: bool
     s_slack: float
 
-    @property
-    def passed(self) -> bool:
-        return self.t_pass and self.s_pass
-
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
     """Wilson score interval for a binomial proportion.

@@ -4,6 +4,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twohopsec.bounds_equal import max_eaves_equal
 from twohopsec.bounds_general import (
@@ -11,6 +13,8 @@ from twohopsec.bounds_general import (
     _GL_WEIGHTS,
     GeometryIntegrals,
     _binom_sums,
+    _region_probability,
+    _survival_target,
     QuadratureError,
     channel_survival_base,
     disc_square_overlap,
@@ -263,7 +267,7 @@ class TestTauWindowsGeneral:
                 for r in (0.2, 0.3):
                     for eps_t in (0.2, 0.3, 0.5):
                         tau_hi = tau_max_general(n, k, r, 1.0, ALPHA, DELTA, eps_t)
-                        if tau_hi is None or math.isinf(tau_hi):
+                        if tau_hi is None:
                             continue
                         bound = transmission_bound_general(n, k, r, 1.0, tau_hi, ALPHA, DELTA)
                         assert bound <= eps_t + 1e-9
@@ -284,16 +288,21 @@ class TestTauWindowsGeneral:
         assert transmission_bound_general(n, k, r, 1.0, tau_hi, ALPHA, DELTA) <= eps_t + 1e-9
 
     def test_quadratic_limit_matches_linear_fallback(self):
-        # the quadratic inversion degenerates continuously into the linear one
-        nu1 = 2.4
-        eps_t = 0.3
-        k = 2
-        linear = (1 - eps_t) * k * k / nu1
-        nu2 = 1e-9
-        quadratic = (
-            k * k * math.sqrt(nu1 * nu1 + 4 * (1 - eps_t) * nu2) - k * k * nu1
-        ) / (2 * nu2)
-        assert quadratic == pytest.approx(linear, rel=1e-6)
+        # one root for both: linear at nu2 = 0, tending to it as nu2 vanishes
+        s1, eps_t, k = 0.6, 0.3, 2
+        linear = (1 - eps_t) / s1
+        assert _survival_target(k, eps_t, (s1, 0.0)) == pytest.approx(linear, rel=1e-15)
+        assert _survival_target(k, eps_t, (s1, 1e-9)) == pytest.approx(linear, rel=1e-8)
+        # nu2 far below nu1's last digit: an unrationalized root cancels to 0 here
+        assert _survival_target(k, eps_t, (s1, 1e-30)) == pytest.approx(linear, rel=1e-15)
+
+    def test_tiny_above_k_mass_leaves_the_window_as_at_k_equals_n(self):
+        # P(L > 99) ~ 1e-55 at n = 100, r = 0.3: the requirement still binds
+        for r in (0.3, 0.1):
+            at_k_99 = tau_max_general(100, 99, r, 1.0, ALPHA, DELTA, 0.19)
+            assert at_k_99 == pytest.approx(tau_max_general(100, 100, r, 1.0, ALPHA, DELTA, 0.19),
+                                            rel=1e-12)
+        assert tau_max_general(20, 19, 0.01, 1.0, ALPHA, DELTA, 0.19) is None
 
     def test_zero_region_infeasible(self):
         assert tau_max_general(5, 2, 0.0, 1.0, ALPHA, DELTA, 0.3) is None
@@ -317,6 +326,43 @@ class TestTauWindowsGeneral:
     def test_capture_disc_parameter_error(self):
         with pytest.raises(ValueError):
             tau_min_general(5, 1, 1.0, 0.6, ALPHA, DELTA, 0.19)
+
+
+@st.composite
+def _general_inputs(draw):
+    n = draw(st.integers(2, 300))
+    k = draw(st.one_of(st.sampled_from([n - 2, n - 1, n]).filter(lambda k: k >= 1),
+                       st.integers(1, n)))
+    r = draw(st.one_of(st.floats(0.0, 0.1), st.floats(0.0, 0.56)))
+    return n, k, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_general_inputs(), gamma_r=st.floats(1e-200, 1e200),
+       alpha=st.floats(2.0, 8.0), delta=st.floats(1e-3, 0.5),
+       eps_t=st.floats(1e-9, 1 - 1e-9))
+def test_survival_target_solves_the_reliability_quadratic(inputs, gamma_r, alpha, delta, eps_t):
+    """The target puts the transmission bound at eps_t; tau_max is None or finite.
+
+    With s1 = P(1 <= L <= k) and s2 = P(L > k), the target x solves
+    s1 x + s2 x^2 / k^2 = 1 - eps_t, i.e. (nu2/k^2) x^2 + nu1 x = (1 - eps_t) k^2.
+    gamma_r stays far from the float minimum, where the threshold itself
+    passes the largest float.
+    """
+    n, k, r = inputs
+    s1, s2 = region_sums(n, k, r)
+    x = _survival_target(k, eps_t, (s1, s2))
+    tau_hi = tau_max_general(n, k, r, gamma_r, alpha, delta, eps_t)
+    assert tau_hi is None or math.isfinite(tau_hi)
+    if x is None:
+        assert s1 == s2 == 0.0 and tau_hi is None
+        return
+    assert x > 0.0 and (tau_hi is None) == (x >= 1.0)
+    if math.isinf(x):  # s1 near the float minimum: the root passes the largest float
+        return
+    c = (1.0 - eps_t) * k * k
+    nu1, nu2 = k * k * s1, k * k * s2
+    assert abs(nu2 * x * x / (k * k) + nu1 * x - c) <= 1e-12 * c
 
 
 class TestMaxEavesGeneral:
@@ -367,10 +413,26 @@ class TestMaxEavesGeneral:
     (max_eaves_general, (5, 1, 0.3, 1.0, 1.0, 0.05, ALPHA, DELTA, 1.0, 0.19)),
     (tau_min_general, (5, 1, -0.5, 0.05, ALPHA, DELTA, 0.19)),
     (tau_min_general, (5, 1, 0.0, 0.05, ALPHA, DELTA, 0.19)),
+    (secrecy_bound_general, (5, 1, 1.0, 0.2, 0.6, ALPHA, DELTA)),
+    (max_eaves_general, (5, 1, 0.3, 1.0, 1.0, 0.6, ALPHA, DELTA, 0.19, 0.19)),
+    (_region_probability, (5, 2, 0.3, 1.5)),
+    (_region_probability, (5, 2, 0.3, -0.1)),
+    (disc_square_overlap, (-0.1,)),
+    (channel_survival_base, (0, 1.0, 0.2, 0.3, ALPHA)),
+    (channel_survival_base, (5, 1.0, -0.2, 0.3, ALPHA)),
+    (channel_survival_base, (5, 0.0, 0.2, 0.3, ALPHA)),
+    (channel_survival_base, (5, 1.0, 0.2, -0.3, ALPHA)),
 ], ids=["equal-k0", "equal-k-above-n", "equal-gamma_r0", "equal-eps_t1", "general-gamma_r0",
         "general-gamma_e-negative", "general-eps_t1", "tau_min-gamma_e-negative",
-        "tau_min-gamma_e0"])
+        "tau_min-gamma_e0", "secrecy-capture-above-1", "general-capture-above-1",
+        "p_region-above-1", "p_region-negative", "overlap-r-negative", "survival-n0",
+        "survival-tau-negative", "survival-gamma_r0", "survival-r-negative"])
 def test_tolerance_and_window_reject_what_their_siblings_reject(bound, args):
-    """k outside 1..n, gamma_r or gamma_e <= 0 and eps outside (0, 1) raise, as in tau_max/tau_min."""
+    """Inputs outside each bound's domain raise, as in tau_max/tau_min.
+
+    k outside 1..n, gamma_r or gamma_e <= 0, eps outside (0, 1), a capture
+    share pi*d0^2 above 1, p_region outside [0, 1], a negative radius, tau or
+    n < 1.
+    """
     with pytest.raises(ValueError):
         bound(*args)

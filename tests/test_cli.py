@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from twohopsec import cli
+from twohopsec.bounds_equal import EavesTolerance, max_eaves_equal
 from twohopsec.cli import (
     CSV_HEADER,
     RunConfig,
@@ -522,12 +523,23 @@ class TestLargeAndLimitInputs:
         assert float(rows[0]["bound_s"]) == pytest.approx(2 * x - x * x)
 
     def test_equal_tolerance_past_the_float_range_is_unbounded(self, tmp_path):
-        # (1 + gamma_e) ** exponent passes the largest float here
-        out = tmp_path / "tol.csv"
-        assert run_cli(["bounds", "--case", "equal", "--n", "572", "--m", "1", "--k", "1",
-                        "--gamma-r", "0.001", "--gamma-e", "59", "--out", str(out)]) == 0
-        _, rows = read_rows(out)
-        assert rows[0]["max_m"] == "inf"
+        def max_m(n, gamma_r, gamma_e):
+            out = tmp_path / "tol.csv"
+            assert run_cli(["bounds", "--case", "equal", "--n", n, "--m", "1", "--k", "1",
+                            "--gamma-r", gamma_r, "--gamma-e", gamma_e, "--out", str(out)]) == 0
+            return read_rows(out)[1][0]["max_m"]
+
+        # (1 + gamma_e) ** exponent passes the largest float here, the tolerance does not;
+        # a 50-digit Decimal gives 2.4968588525115342e307
+        assert max_m("572", "0.001", "59") == "2.4968588525115406e+307"
+        assert max_m("600", "0.001", "59") == "inf"
+        # a nonzero subnormal factor 2^-exponent whose quotient passes the largest float;
+        # the exponent is sqrt((n-1) * -log(target) / (2 gamma_r)), target 0.9 at k = 1
+        exponent = math.sqrt(571 * -math.log(0.9) / (2 * 2.728e-5))
+        assert 0.0 < 0.5**exponent < 2.2250738585072014e-308
+        assert max_eaves_equal(572, 1, 2.728e-5, 1.0, 0.19, 0.19) == EavesTolerance(
+            bound=math.inf, count=None)
+        assert max_m("572", "2.728e-5", "1") == "inf"
 
     @pytest.mark.parametrize("case", [["--case", "equal"], ["--case", "general", "--r", "0.4"]])
     def test_subnormal_noise_prints_no_warning(self, case, capsys):
@@ -591,7 +603,7 @@ def _parse_counted(argv, monkeypatch) -> tuple:
 
 
 class TestParseDispatch:
-    """A call that opens with a command name is parsed by that command's parser alone."""
+    """A well-formed call that opens with a command name never reaches the top-level parser."""
 
     def top_level_parses(self, argv, monkeypatch, capsys) -> int:
         _, calls = _parse_counted(argv, monkeypatch)
@@ -599,10 +611,10 @@ class TestParseDispatch:
         return sum(parser is cli.build_parser() for parser in calls)
 
     @pytest.mark.parametrize("argv", [
-        ["bounds", "--n", "7"], ["tau-range"], ["max-eaves", "--n=7", "--report"],
+        ["bounds", "--n", "7"], ["tau-range"], ["max-eaves", "--n", "7", "--report"],
         ["simulate", "--trials", "50"],
         ["sweep", "--sweep-param", "k", "--sweep-from", "1", "--sweep-to", "2", "--no-sim"],
-        ["bounds", "--n", "x"], ["sweep", "-h"],
+        ["bounds", "--case", "general", "--r", "inf"], ["sweep", "--no-sim", "--n", "7"],
     ])
     def test_a_command_never_reaches_the_top_level_parser(self, argv, monkeypatch, capsys):
         assert self.top_level_parses(argv, monkeypatch, capsys) == 0
@@ -610,6 +622,7 @@ class TestParseDispatch:
     @pytest.mark.parametrize("argv", [
         [], ["foo"], ["--bogus", "bounds"], ["-h"], ["bounds", "--bogus"],
         ["--seed", "-h", "bounds"], ["--case", "general", "simulate", "--he"],
+        ["max-eaves", "--n=7", "--report"], ["bounds", "--n", "x"], ["sweep", "-h"],
     ])
     def test_every_other_call_goes_to_the_top_level_parser(self, argv, monkeypatch, capsys):
         assert self.top_level_parses(argv, monkeypatch, capsys) == 1
@@ -697,10 +710,11 @@ class TestTableParse:
         ["--report=1"], ["--", "--n", "7"], ["--n", "7", "extra"], ["-h"], ["--n"],
     ])
     def test_irregular_calls_reach_the_command_parser(self, tail, monkeypatch, capsys):
+        # through the top-level parser, which hands the command's tokens on
         command = _commands()["bounds"]
         _, calls = _parse_counted(["bounds", *tail], monkeypatch)
         capsys.readouterr()
-        assert calls[0] is command
+        assert calls[:2] == [cli.build_parser(), command]
 
     def test_every_command_parser_is_one_the_table_reproduces(self):
         for name, command in _commands().items():

@@ -10,7 +10,7 @@ what that command prints:
   stdout as printed, then each stderr line prefixed with ``! ``, then
   ``[exit N]`` with the code ``main`` returned or the ``SystemExit`` code of
   an argument-parser exit.  The entries cover every command name with and
-  without ``--report`` in both cases, sweep error rows,
+  without ``--report`` in both cases, general k just below n, sweep error rows,
   ``--no-bounds``/``--no-sim`` sweeps, rejected runs (exit 2 and 3) and the
   parser's own paths: no command, an unknown command or flag, a bad or
   missing flag value, a flag before the command, an abbreviated flag,
@@ -19,14 +19,18 @@ what that command prints:
 
 Regenerate both with ``PYTHONPATH=src python tests/test_golden_bounds.py``
 only when a change to the output is intended; it prints the command line of
-every entry whose output changed, so a re-pin shows exactly what moved.  A
-new entry is one more command line followed by nothing.
+every entry whose output changed, with the largest relative change of any
+number in it and every other cell that changed, so a re-pin shows exactly
+what moved and by how much.  A new entry is one more command line followed
+by nothing.
 """
 
 import contextlib
 import io
+import math
 import os
 import random
+import re
 import shlex
 from pathlib import Path
 
@@ -72,12 +76,49 @@ def transcript(args: str) -> str:
     return f"{out.getvalue()}{stderr}[exit {code}]\n"
 
 
+_CELL_SEP = re.compile(r"[\s,=\[\]{}()]")  # one cell per CSV comma, so empty cells count
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def describe_move(old: str, new: str) -> str:
+    """The largest relative change of a number between two outputs, and every other change.
+
+    Both outputs are split into cells at whitespace, commas, ``=`` and
+    brackets.  A change from 0, or from or to inf or nan, counts as relative
+    change inf.
+    """
+    if not old:
+        return "new entry"
+    old_cells, new_cells = _CELL_SEP.split(old), _CELL_SEP.split(new)
+    if len(old_cells) != len(new_cells):
+        return f"NON-NUMERIC CHANGE: {len(old_cells)} cells -> {len(new_cells)}"
+    largest, other = 0.0, []
+    for a, b in zip(old_cells, new_cells):
+        x, y = _number(a), _number(b)
+        if a == b or x is not None and x == y:
+            continue
+        if x is None or y is None:
+            other.append(f"{a!r} -> {b!r}")
+        elif x == 0.0 or not (math.isfinite(x) and math.isfinite(y)):
+            largest = math.inf
+        else:
+            largest = max(largest, abs(y - x) / abs(x))
+    text = f"largest relative change {largest:.2g}"
+    return f"{text}; NON-NUMERIC CHANGE: {', '.join(other)}" if other else text
+
+
 def write_golden(path, render) -> None:
-    """Re-render every entry of ``path`` and print the command line of each that moved."""
+    """Re-render every entry of ``path`` and print each that moved, with how far."""
     entries = [(args, old, render(args)) for args, old in read_golden(path)]
     for args, old, new in entries:
         if new != old:
-            print(f"{path.name}: {PROMPT}{args}")
+            print(f"{path.name}: {PROMPT}{args}\n    {describe_move(old, new)}")
     path.write_text("".join(f"{PROMPT}{args}\n{new}" for args, _, new in entries))
 
 
@@ -113,6 +154,18 @@ def test_bound_caches_are_transparent():
         # the cache keys on argument types: a float k is no hit for the int one
         with pytest.raises(TypeError):
             bgen.region_sums(4, 2.0, 0.3, None)
+
+
+@pytest.mark.parametrize("old, new, text", [
+    ("a,0.5,x\n", "a,0.5000001,x\n", "largest relative change 2e-07"),
+    ("[1.0, inf]  feasible=true\n", "[1.0, 0.25]  feasible=false\n",
+     "largest relative change inf; NON-NUMERIC CHANGE: 'true' -> 'false'"),
+    ("a,,1\n", "a,2,1\n", "largest relative change 0; NON-NUMERIC CHANGE: '' -> '2'"),
+    ("1.0,2\n", "1,2,3\n", "NON-NUMERIC CHANGE: 3 cells -> 4"),
+    ("", "1,2\n", "new entry"),
+], ids=["last-digits", "window", "empty-cell", "new-cell", "new-entry"])
+def test_a_moved_entry_is_described_by_its_largest_change(old, new, text):
+    assert describe_move(old, new) == text
 
 
 @pytest.mark.parametrize("args, expected", read_golden(CLI_GOLDEN),

@@ -9,7 +9,8 @@ describe one regularized model.  The integrals are evaluated by exact
 radial integration in polar coordinates followed by panel Gauss-Legendre
 quadrature over the angle, with a resolution-doubling convergence check.
 They are cached per (alpha, delta), and the binomial masses of the in-region
-relay count per (n, k, r, p_region); each bound looks both up there.
+relay count, Binomial(n, disc_square_overlap(r)) as the simulator samples it
+for every r up to inf, per (n, k, r); each bound looks both up there.
 The secrecy, tau-window and tolerance algebra is shared with
 ``bounds_equal``, whose case is the capture share 0 at level gamma_e.
 """
@@ -213,22 +214,6 @@ def channel_survival_base(n: int, gamma_r: float, tau: float, r: float, alpha: f
     )
 
 
-def _region_probability(n: int, k: int, r: float, p_region) -> float:
-    if not 1 <= k <= n:
-        raise ValueError("k must satisfy 1 <= k <= n")
-    if p_region is None:
-        p = math.pi * r * r
-        if p > 1.0:
-            raise ValueError(
-                f"pi*r^2 = {p:.4g} exceeds 1 and is not a probability; pass "
-                "p_region (e.g. disc_square_overlap(r)) to override"
-            )
-        return p
-    if not 0.0 <= p_region <= 1.0:
-        raise ValueError("p_region must lie in [0, 1]")
-    return float(p_region)
-
-
 def _binom_sums(n: int, k: int, p: float):
     """(P(1 <= L <= k), P(L > k)) for L ~ Binomial(n, p), 1 <= k <= n."""
     if p == 0.0:
@@ -240,15 +225,17 @@ def _binom_sums(n: int, k: int, p: float):
 
 
 @functools.lru_cache(maxsize=256, typed=True)
-def region_sums(n: int, k: int, r: float, p_region=None):
+def region_sums(n: int, k: int, r: float):
     """(P(1 <= L <= k), P(L > k)) for the in-region relay count L.
 
-    Cached per (n, k, r, p_region), argument types included, so
+    L ~ Binomial(n, disc_square_overlap(r)), the law the simulator samples.
+    Cached per (n, k, r), argument types included, so
     ``transmission_bound_general``, ``tau_max_general`` and
-    ``max_eaves_general`` pay for the binomial masses once per distinct
-    input; they pass ``p_region`` positionally to share one key.
+    ``max_eaves_general`` pay for the binomial masses once per distinct input.
     """
-    return _binom_sums(n, k, _region_probability(n, k, r, p_region))
+    if not 1 <= k <= n:
+        raise ValueError("k must satisfy 1 <= k <= n")
+    return _binom_sums(n, k, disc_square_overlap(r))
 
 
 def transmission_bound_general(
@@ -259,14 +246,13 @@ def transmission_bound_general(
     tau: float,
     alpha: float,
     delta: float,
-    p_region=None,
 ) -> float:
     """Upper bound on transmission outage in the distance-dependent case.
 
     1 - U^(phi1+phi2) * P(1 <= L <= k) - U^(2(phi1+phi2))/k^2 * P(L > k)
     with L the binomial in-region relay count and U the survival base.
     """
-    s1, s2 = region_sums(n, k, r, p_region)
+    s1, s2 = region_sums(n, k, r)
     u = channel_survival_base(n, gamma_r, tau, r, alpha)
     phi = geometry_integrals(alpha, delta).hop_sum
     value = 1.0 - u**phi * s1 - (u ** (2.0 * phi)) / (k * k) * s2
@@ -276,6 +262,14 @@ def transmission_bound_general(
 def _eaves_level(gamma_e: float, d0: float, alpha: float, delta: float) -> float:
     """gamma_e * psi * d0^alpha, the per-jammer level at a corner eavesdropper."""
     return gamma_e * geometry_integrals(alpha, delta).corner * d0**alpha
+
+
+def _capture_share(d0: float) -> float:
+    """pi*d0^2, the share of the network inside an eavesdropper's capture disc."""
+    cap = math.pi * d0 * d0
+    if cap > 1.0:
+        raise ValueError("pi*d0^2 exceeds 1; capture disc larger than the network")
+    return cap
 
 
 def secrecy_bound_general(
@@ -292,9 +286,7 @@ def secrecy_bound_general(
     W = pi*d0^2 + (1/(1+gamma_e*psi*d0^alpha))^{(n-1)(1-e^-tau)} (1-pi*d0^2).
     """
     _check_point(n, gamma_e, tau, "gamma_e")
-    cap = math.pi * d0 * d0
-    if cap > 1.0:
-        raise ValueError("pi*d0^2 exceeds 1; capture disc larger than the network")
+    cap = _capture_share(d0)
     level = _eaves_level(gamma_e, d0, alpha, delta)
     return _interception(m, level, (n - 1) * (-math.expm1(-tau)), cap)
 
@@ -302,9 +294,9 @@ def secrecy_bound_general(
 def _survival_target(k: int, eps_t: float, sums) -> float | None:
     """Smallest admissible value of U^(phi1+phi2); None when no region relay exists.
 
-    ``sums`` is ``region_sums(n, k, r, p_region)``; nu1 and nu2 are its
-    k^2-scaled masses.  The positive root of (nu2/k^2) x^2 + nu1 x = (1-eps_t) k^2
-    is rationalized, so a tiny nu2 does not cancel it and nu2 = 0 needs no branch.
+    ``sums`` is ``region_sums(n, k, r)``; nu1 and nu2 are its k^2-scaled
+    masses.  The positive root of (nu2/k^2) x^2 + nu1 x = (1-eps_t) k^2 is
+    rationalized, so a tiny nu2 does not cancel it and nu2 = 0 needs no branch.
     """
     s1, s2 = sums
     nu1, nu2 = k * k * s1, k * k * s2
@@ -322,7 +314,6 @@ def tau_max_general(
     alpha: float,
     delta: float,
     eps_t: float,
-    p_region=None,
 ):
     """Largest jamming threshold keeping the transmission bound within eps_t.
 
@@ -331,7 +322,7 @@ def tau_max_general(
     """
     _check_reliability(n, k, gamma_r, eps_t)
     denom = gamma_r * (n - 1) * geometry_integrals(alpha, delta).hop_sum * (0.5 + r) ** alpha
-    return _root(_survival_target(k, eps_t, region_sums(n, k, r, p_region)), 1, denom)
+    return _root(_survival_target(k, eps_t, region_sums(n, k, r)), 1, denom)
 
 
 def tau_min_general(
@@ -349,9 +340,7 @@ def tau_min_general(
     budget or when d0 = 0 degenerates the inversion (log(1+0) = 0).
     """
     _check_secrecy(n, gamma_e, eps_s)
-    cap = math.pi * d0 * d0
-    if cap >= 1.0:
-        raise ValueError("pi*d0^2 must be below 1")
+    cap = _capture_share(d0)
     return _tau_min(n, m, _eaves_level(gamma_e, d0, alpha, delta), eps_s, cap)
 
 
@@ -366,7 +355,6 @@ def max_eaves_general(
     delta: float,
     eps_t: float,
     eps_s: float,
-    p_region=None,
 ):
     """Tolerable eavesdropper count in the distance-dependent case.
 
@@ -376,9 +364,7 @@ def max_eaves_general(
     """
     _check_reliability(n, k, gamma_r, eps_t)
     _check_secrecy(n, gamma_e, eps_s)
-    cap = math.pi * d0 * d0
-    if cap >= 1.0:
-        raise ValueError("pi*d0^2 must be below 1")
+    cap = _capture_share(d0)
     denom = gamma_r * geometry_integrals(alpha, delta).hop_sum * (0.5 + r) ** alpha
-    exponent = _root(_survival_target(k, eps_t, region_sums(n, k, r, p_region)), n - 1, denom)
+    exponent = _root(_survival_target(k, eps_t, region_sums(n, k, r)), n - 1, denom)
     return _tolerance(exponent, _eaves_level(gamma_e, d0, alpha, delta), eps_s, cap)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds_general import QuadratureError, disc_square_overlap
+from .bounds_general import QuadratureError
 from .model import Case, ProtocolParams, derived_fields
 from .montecarlo import EstimateReport, estimate
 from .reports import BoundReport, evaluate_bounds
@@ -142,12 +142,6 @@ def _as_str(value, name: str) -> str:
     return value
 
 
-def _as_bool(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"field {name!r} must be true or false, got {value!r}")
-    return value
-
-
 @dataclass
 class RunConfig:
     """Fully resolved run configuration; defaults mirror the worked example scenario.
@@ -173,7 +167,6 @@ class RunConfig:
     eps_s: float = 0.19
     trials: int = 10000
     seed: int = 1
-    exact_region: bool = False
     sweep: SweepSpec | None = None
     out: str | None = None
 
@@ -216,15 +209,10 @@ class RunConfig:
         return ProtocolParams(**{name: getattr(self, name) for name in _PARAM_FIELDS},
                               case=Case(self.case))
 
-    def p_region(self, params: ProtocolParams):
-        if self.exact_region and params.is_general:
-            return disc_square_overlap(params.r)
-        return None
-
 
 # Derived at import, so a CLI call runs no dataclasses.fields().  Each field's
 # annotation picks its converter, and "T | None" also takes None.
-_CONVERTERS = {"int": _as_int, "float": _as_float, "bool": _as_bool, "str": _as_str,
+_CONVERTERS = {"int": _as_int, "float": _as_float, "str": _as_str,
                "SweepSpec": lambda value, name: SweepSpec.from_dict(value)}
 _CONFIG_FIELDS = {
     f.name: (_CONVERTERS[f.type.split(" | ")[0]], f.type.endswith(" | None"))
@@ -394,8 +382,7 @@ def _evaluate(points: list, param: str | None, with_bounds: bool, with_sim: bool
         try:
             point.params = point.config.protocol_params()
             if with_bounds:
-                point.bnd = evaluate_bounds(point.params, point.config.eps_t, point.config.eps_s,
-                                            point.config.p_region(point.params))
+                point.bnd = evaluate_bounds(point.params, point.config.eps_t, point.config.eps_s)
         except ValueError as exc:
             point.error = exc
     if not with_sim:
@@ -479,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         common.add_argument(flag, dest=dest, type=float)
     common.add_argument("--out", help="write the CSV to this path")
-    common.add_argument("--exact-region", action="store_true", default=None,
-                        help="use the exact disc-square overlap as region probability")
     common.add_argument("--report", action="store_true",
                         help="print a human-readable summary instead of CSV on stdout")
 

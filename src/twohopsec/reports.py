@@ -57,18 +57,18 @@ def evaluate_bounds(
     params: ProtocolParams,
     eps_t: float,
     eps_s: float,
-    p_region=None,
 ) -> BoundReport:
     """Evaluate all bounds for ``params``, dispatching on the path-loss case.
 
-    ``p_region`` overrides the pi*r^2 in-region probability of the
-    distance-dependent case (useful once pi*r^2 would exceed 1).  With one
-    relay the window and the tolerance are None and the report infeasible.
+    In the distance-dependent case a relay is in the selection region with
+    probability ``disc_square_overlap(r)``, the law the simulator samples,
+    so every radius up to inf has a report.  With one relay the window and
+    the tolerance are None and the report infeasible.
     """
     p = params
     if p.is_general:
         bound_t = bgen.transmission_bound_general(
-            p.n, p.k, p.r, p.gamma_r, p.tau, p.alpha, p.delta, p_region
+            p.n, p.k, p.r, p.gamma_r, p.tau, p.alpha, p.delta
         )
         bound_s = bgen.secrecy_bound_general(
             p.n, p.m, p.gamma_e, p.tau, p.d0, p.alpha, p.delta
@@ -83,17 +83,14 @@ def evaluate_bounds(
         beq._check_eps(eps_s, "eps_s")
         tau_lo = tau_hi = tolerance = None
     elif p.is_general:
-        tau_hi = bgen.tau_max_general(
-            p.n, p.k, p.r, p.gamma_r, p.alpha, p.delta, eps_t, p_region
-        )
+        tau_hi = bgen.tau_max_general(p.n, p.k, p.r, p.gamma_r, p.alpha, p.delta, eps_t)
         tau_lo = (
             bgen.tau_min_general(p.n, p.m, p.gamma_e, p.d0, p.alpha, p.delta, eps_s)
             if p.m >= 1
             else 0.0
         )
         tolerance = bgen.max_eaves_general(
-            p.n, p.k, p.r, p.gamma_r, p.gamma_e, p.d0, p.alpha, p.delta,
-            eps_t, eps_s, p_region,
+            p.n, p.k, p.r, p.gamma_r, p.gamma_e, p.d0, p.alpha, p.delta, eps_t, eps_s
         )
     else:
         tau_hi = beq.tau_max_equal(p.n, p.k, p.gamma_r, eps_t)

@@ -237,13 +237,13 @@ def test_criterion_6_corollary_reductions():
                 worst = max(worst, abs(q1 - collapse1))
                 qn = float(topk_random_cdf(x, n, n))
                 worst = max(worst, abs(qn - float(min_pair_cdf(x))))
-    # Corollary-2 paths: full-coverage override and the degenerate quadratic
+    # Corollary-2 paths: full coverage (the disc covers the square from
+    # r = sqrt(0.5) on) and the degenerate quadratic
     geo = geometry_integrals(GENERAL_ALPHA, GENERAL_DELTA)
     sentinel = 0.0
-    for r in (0.5, 0.7, 1.0):
+    for r in (0.75, 0.8, 1.0):
         u = channel_survival_base(5, 1.0, 0.05, r, GENERAL_ALPHA)
-        got = transmission_bound_general(5, 5, r, 1.0, 0.05, GENERAL_ALPHA, GENERAL_DELTA,
-                                         p_region=1.0)
+        got = transmission_bound_general(5, 5, r, 1.0, 0.05, GENERAL_ALPHA, GENERAL_DELTA)
         sentinel = max(sentinel, abs(got - (1.0 - u**geo.hop_sum)))
     tau_lin = tau_max_general(5, 5, 0.3, 1.0, GENERAL_ALPHA, GENERAL_DELTA, 0.3)
     nu1 = 25 * sum(

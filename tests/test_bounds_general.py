@@ -13,7 +13,6 @@ from twohopsec.bounds_general import (
     _GL_WEIGHTS,
     GeometryIntegrals,
     _binom_sums,
-    _region_probability,
     _survival_target,
     QuadratureError,
     channel_survival_base,
@@ -145,10 +144,10 @@ class TestNuCoeffs:
         assert s2 == pytest.approx(0.203125 / 4, rel=1e-9)
 
     def test_region_probability_cap(self):
-        with pytest.raises(ValueError, match="p_region"):
-            region_sums(4, 2, 0.7)
-        s1, s2 = region_sums(4, 2, 0.7, p_region=disc_square_overlap(0.7))
-        assert s1 > 0
+        # past the inscribed disc the region law is the clipped disc, not pi*r^2 > 1
+        assert region_sums(4, 2, 0.7) == _binom_sums(4, 2, disc_square_overlap(0.7))
+        assert region_sums(4, 2, math.inf) == (0.0, 1.0)
+        assert region_sums(4, 4, math.inf) == (1.0, 0.0)
 
 
 def exact_binom_sums(n, ks, p):
@@ -226,17 +225,24 @@ class TestTransmissionBoundGeneral:
         )
 
     def test_radius_over_probability_cap(self):
-        with pytest.raises(ValueError, match="p_region"):
-            transmission_bound_general(5, 2, 0.8, 1.0, 0.1, ALPHA, DELTA)
+        # pi*r^2 > 1 at r = 0.6: the bound takes the clipped disc's probability
+        n, k, r, gr, tau = 5, 2, 0.6, 1.0, 0.1
+        expected = mp_transmission_general(
+            n, k, disc_square_overlap(r), gr, tau, r, ALPHA, GEO.hop_sum
+        )
+        assert transmission_bound_general(n, k, r, gr, tau, ALPHA, DELTA) == pytest.approx(
+            expected, rel=1e-10
+        )
 
     def test_corollary_sentinel_full_coverage(self):
-        # with the probability override at 1 and k = n the bound depends on
-        # the radius only through the survival factor
+        # once the disc covers the square (r >= sqrt(0.5)) every relay is in
+        # the region, and with k = n the bound depends on the radius only
+        # through the survival factor
         n, tau, gr = 5, 0.05, 1.0
-        for r in (0.5, 0.6, 0.8):
+        for r in (0.75, 0.8, 1.0):
             u = channel_survival_base(n, gr, tau, r, ALPHA)
             expected = 1.0 - u**GEO.hop_sum
-            got = transmission_bound_general(n, n, r, gr, tau, ALPHA, DELTA, p_region=1.0)
+            got = transmission_bound_general(n, n, r, gr, tau, ALPHA, DELTA)
             assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -415,8 +421,6 @@ class TestMaxEavesGeneral:
     (tau_min_general, (5, 1, 0.0, 0.05, ALPHA, DELTA, 0.19)),
     (secrecy_bound_general, (5, 1, 1.0, 0.2, 0.6, ALPHA, DELTA)),
     (max_eaves_general, (5, 1, 0.3, 1.0, 1.0, 0.6, ALPHA, DELTA, 0.19, 0.19)),
-    (_region_probability, (5, 2, 0.3, 1.5)),
-    (_region_probability, (5, 2, 0.3, -0.1)),
     (disc_square_overlap, (-0.1,)),
     (channel_survival_base, (0, 1.0, 0.2, 0.3, ALPHA)),
     (channel_survival_base, (5, 1.0, -0.2, 0.3, ALPHA)),
@@ -425,14 +429,27 @@ class TestMaxEavesGeneral:
 ], ids=["equal-k0", "equal-k-above-n", "equal-gamma_r0", "equal-eps_t1", "general-gamma_r0",
         "general-gamma_e-negative", "general-eps_t1", "tau_min-gamma_e-negative",
         "tau_min-gamma_e0", "secrecy-capture-above-1", "general-capture-above-1",
-        "p_region-above-1", "p_region-negative", "overlap-r-negative", "survival-n0",
+        "overlap-r-negative", "survival-n0",
         "survival-tau-negative", "survival-gamma_r0", "survival-r-negative"])
 def test_tolerance_and_window_reject_what_their_siblings_reject(bound, args):
     """Inputs outside each bound's domain raise, as in tau_max/tau_min.
 
     k outside 1..n, gamma_r or gamma_e <= 0, eps outside (0, 1), a capture
-    share pi*d0^2 above 1, p_region outside [0, 1], a negative radius, tau or
-    n < 1.
+    share pi*d0^2 above 1, a negative radius, tau or n < 1.
     """
     with pytest.raises(ValueError):
         bound(*args)
+
+
+@pytest.mark.parametrize("bound", [
+    lambda d0: secrecy_bound_general(5, 1, 1.0, 0.2, d0, ALPHA, DELTA),
+    lambda d0: tau_min_general(5, 1, 1.0, d0, ALPHA, DELTA, 0.19),
+    lambda d0: max_eaves_general(5, 1, 0.3, 1.0, 1.0, d0, ALPHA, DELTA, 0.19, 0.19),
+], ids=["secrecy", "tau_min", "max_eaves"])
+def test_one_capture_share_check(bound):
+    """Every bound that uses pi*d0^2 rejects it past 1 alike, and takes it up to 1."""
+    edge = 1.0 / math.sqrt(math.pi)  # pi*d0^2 reads 0.9999999999999999 here
+    bound(edge)
+    with pytest.raises(ValueError) as exc:
+        bound(math.nextafter(edge, 1.0))
+    assert str(exc.value) == "pi*d0^2 exceeds 1; capture disc larger than the network"

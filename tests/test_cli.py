@@ -154,7 +154,7 @@ class TestConfigRoundTrip:
     VALUES = {
         "case": "general", "n": 7, "m": 3, "k": 2, "r": 0.3, "tau": 0.7, "gamma_r": 0.5,
         "gamma_e": 2.5, "alpha": 3.5, "d0": 0.02, "es": 2.0, "n0": 1e-3, "delta": 0.04,
-        "eps_t": 0.1, "eps_s": 0.05, "trials": 123, "seed": 42, "exact_region": True,
+        "eps_t": 0.1, "eps_s": 0.05, "trials": 123, "seed": 42,
         "sweep": SweepSpec(param="k", start=1.0, stop=3.0, steps=3, scale="log"),
         "out": None,
     }
@@ -178,11 +178,8 @@ class TestConfigRoundTrip:
             expected["sweep"] = value
         else:
             argv += self.GRID
-            flag = "--" + name.replace("_", "-")
-            if value is True:
-                argv.append(flag)
-            elif value is not None:
-                argv += [flag, str(value)]
+            if value is not None:
+                argv += ["--" + name.replace("_", "-"), str(value)]
             if name != "out":
                 expected[name] = value
         assert run_cli(argv) == 0
@@ -218,18 +215,6 @@ class TestCheckedInput:
         captured = capsys.readouterr()
         assert "configuration error: --workers must be at least 1" in captured.err
         assert captured.out == ""
-
-    @pytest.mark.parametrize("text, code", [
-        ("exact_region: true", 0),
-        ("exact_region: false", 2),  # pi r^2 > 1 without the exact overlap
-        ("exact_region: 'false'", 2),
-        ("exact_region: 'true'", 2),
-        ("exact_region: 1", 2),
-    ])
-    def test_exact_region_takes_only_a_bool(self, tmp_path, text, code):
-        cfg = tmp_path / "run.yaml"
-        cfg.write_text(f"case: general\nr: 0.8\n{text}\n")
-        assert run_cli(["bounds", "--config", str(cfg)]) == code
 
     @pytest.mark.parametrize("name", ["n", "k", "trials", "tau", "n0", "eps_s"])
     def test_numbers_reject_bools(self, tmp_path, name, capsys):
@@ -275,24 +260,17 @@ class TestSweep:
         assert [r["k"] for r in rows] == ["1", "2", "3", "4", "5"]
         assert all(r["bound_t"] != "" for r in rows)
 
-    def test_radius_sweep_beyond_probability_cap_has_error_cells(self, tmp_path):
+    def test_radius_sweep_past_the_inscribed_disc_has_full_rows(self, tmp_path):
+        # past r = 1/sqrt(pi) the region is the disc clipped to the square, so
+        # every radius the engine samples has bounds and an estimate
         out = tmp_path / "r.csv"
         assert run_cli(["sweep", "--case", "general", "--sweep-param", "r",
                         "--sweep-from", "0.2", "--sweep-to", "0.8", "--sweep-steps", "4",
-                        "--no-sim", "--out", str(out)]) == 0
+                        "--trials", "200", "--out", str(out)]) == 0
         _, rows = read_rows(out)
-        assert rows[0]["feasible"] in ("true", "false")
-        assert rows[-1]["feasible"] == "error"  # pi r^2 > 1 without the override
-        assert rows[-1]["bound_t"] == ""
-
-    def test_exact_region_override_rescues_large_radius(self, tmp_path):
-        out = tmp_path / "r2.csv"
-        assert run_cli(["sweep", "--case", "general", "--sweep-param", "r",
-                        "--sweep-from", "0.6", "--sweep-to", "0.7", "--sweep-steps", "2",
-                        "--no-sim", "--exact-region", "--out", str(out)]) == 0
-        _, rows = read_rows(out)
-        assert all(r["feasible"] != "error" for r in rows)
-        assert all(r["bound_t"] != "" for r in rows)
+        assert [r["r"] for r in rows] == ["0.2", "0.4", "0.6000000000000001", "0.8"]
+        assert all(r["feasible"] in ("true", "false") for r in rows)
+        assert all(r["bound_t"] != "" and r["p_t_hat"] != "" for r in rows)
 
     def test_sweep_requires_spec(self):
         assert run_cli(["sweep", "--trials", "10"]) == 2
@@ -566,7 +544,7 @@ class TestParserReuse:
     CALLS = [
         ["sweep", "--sweep-param", "gamma_e", "--sweep-from", "0.5", "--sweep-to", "2",
          "--sweep-steps", "3", "--trials", "300", "--no-bounds", "--report"],
-        ["bounds", "--case", "general", "--r", "0.4", "--exact-region"],
+        ["bounds", "--case", "general", "--r", "0.4", "--d0", "0.1"],
         ["bounds", "--case", "general", "--r", "0.4"],
         ["simulate", "--trials", "300"],
     ]
@@ -580,7 +558,7 @@ class TestParserReuse:
             cli.build_parser.cache_clear()
             assert run_cli(argv) == 0
             assert capsys.readouterr().out == out
-        assert reused[1] != reused[2]  # --exact-region changes the general bounds
+        assert reused[1] != reused[2]  # --d0 changes the general bounds
 
 
 def _parse_counted(argv, monkeypatch) -> tuple:

@@ -5,7 +5,8 @@ what that command prints:
 
 - ``golden/bounds_rows.txt``: the CSV data row of a ``bounds`` run.  The rows
   cover both path-loss cases, feasible and infeasible tau windows, an
-  unbounded tolerance, m = 0, k = n, ``--exact-region``, d0 = 0 and n = 3000.
+  unbounded tolerance, m = 0, k = n, radii past the inscribed disc up to inf,
+  d0 = 0 and n = 3000.
 - ``golden/cli_output.txt``: the whole transcript of a run of any command:
   stdout as printed, then each stderr line prefixed with ``! ``, then
   ``[exit N]`` with the code ``main`` returned or the ``SystemExit`` code of
@@ -143,17 +144,17 @@ def test_bound_caches_are_transparent():
         entries = rng.sample(golden, len(golden))
         assert [data_row(args) for args, _ in entries] == [row for _, row in entries]
     # exceptions are never cached: a rejected input raises on every repeat
-    too_wide = ProtocolParams(n=10, m=1, k=3, r=0.7, tau=0.2, gamma_r=1.0, gamma_e=1.0,
-                              case=Case.DISTANCE_DEPENDENT)
-    bgen.region_sums(4, 2, 0.3, None)
+    too_wide = ProtocolParams(n=10, m=1, k=3, r=0.3, tau=0.2, gamma_r=1.0, gamma_e=1.0,
+                              d0=0.6, case=Case.DISTANCE_DEPENDENT)
+    bgen.region_sums(4, 2, 0.3)
     for _ in range(3):
         with pytest.raises(ValueError, match="exceeds 1"):
             evaluate_bounds(too_wide, 0.19, 0.19)
         with pytest.raises(ValueError, match="k must satisfy"):
-            bgen.region_sums(4, 5, 0.3, None)
+            bgen.region_sums(4, 5, 0.3)
         # the cache keys on argument types: a float k is no hit for the int one
         with pytest.raises(TypeError):
-            bgen.region_sums(4, 2.0, 0.3, None)
+            bgen.region_sums(4, 2.0, 0.3)
 
 
 @pytest.mark.parametrize("old, new, text", [

@@ -12,6 +12,7 @@ from twohopsec.bounds_equal import (
     transmission_bound_equal,
     transmission_bound_equal_binomial_jammers,
 )
+from twohopsec.bounds_general import disc_square_overlap, region_sums
 from twohopsec.model import Case, ConfigurationError, ProtocolParams
 from twohopsec.montecarlo import (
     BATCH_SIZE,
@@ -575,3 +576,28 @@ class TestLoadBalanceTrends:
         # the across-trials histogram is near-uniform for every k
         for jain in uncond_jains:
             assert jain == pytest.approx(1.0, abs=0.01)
+
+
+@pytest.mark.parametrize("n, k, r", [(5, 2, 0.3), (2, 2, 0.55), (1, 1, 0.6)],
+                         ids=["inscribed-disc", "clipped-disc", "pi-r2-above-1"])
+def test_bound_region_law_is_the_one_select_samples(n, k, r):
+    """The bounds' in-region count L ~ Binomial(n, disc_square_overlap(r)) is the
+    count ``_select`` samples, below r = 0.5, up to r = 1/sqrt(pi) and past it.
+
+    Two comparisons per radius, each at 4 standard errors: the no-candidate
+    rate against P(L = 0), and the conditional Jain index against
+    E[min(k, L) | L >= 1] / n.  (n, k) keep P(L = 0) at 1% or more.
+    """
+    trials = 20_000
+    rep = estimate(general_params(n=n, m=0, k=k, r=r), trials, seed=2013)
+    p = disc_square_overlap(r)
+    pmf = [math.comb(n, l) * p**l * (1 - p) ** (n - l) for l in range(n + 1)]
+    none = 1.0 - sum(region_sums(n, k, r))
+    assert none >= 0.01 and none == pytest.approx(pmf[0], rel=1e-12)
+    assert abs(rep.no_candidate_rate - none) <= 4 * math.sqrt(none * (1 - none) / trials)
+    # the candidate count c = min(k, L) of a trial with a candidate
+    mean = sum(min(k, l) * w for l, w in enumerate(pmf) if l) / (1 - none)
+    var = max(sum(min(k, l) ** 2 * w for l, w in enumerate(pmf) if l) / (1 - none) - mean**2,
+              0.0)
+    se = math.sqrt(var / (trials * (1 - none))) / n
+    assert abs(rep.conditional_jain - mean / n) <= 4 * se

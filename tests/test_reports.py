@@ -87,10 +87,8 @@ def test_bounds_are_probabilities_at_any_n(general, n, k, m, r, tau, gamma_r, ga
     assert 0.0 <= rep.bound_s.effective <= 1.0
 
 
-@pytest.mark.parametrize("n, k, r, p_region", [
-    (10, 3, 0.3, None), (763, 3, 0.25, None), (8, 8, 0.4, None), (40, 2, 0.7, 0.9),
-])
-def test_general_evaluation_splits_the_binomial_once(monkeypatch, n, k, r, p_region):
+@pytest.mark.parametrize("n, k, r", [(10, 3, 0.3), (763, 3, 0.25), (8, 8, 0.4), (40, 2, 0.7)])
+def test_general_evaluation_splits_the_binomial_once(monkeypatch, n, k, r):
     bgen.region_sums.cache_clear()
     calls = []
     split = bgen._binom_sums
@@ -101,16 +99,15 @@ def test_general_evaluation_splits_the_binomial_once(monkeypatch, n, k, r, p_reg
                                               (4.0, 10, 2.5, 0.1, 0.3)]:
             p = ProtocolParams(n=n, m=m, k=k, r=r_now, tau=0.4, gamma_r=0.8, gamma_e=gamma_e,
                                alpha=alpha, delta=delta, case=Case.DISTANCE_DEPENDENT)
-            rep = evaluate_bounds(p, eps, eps, p_region=p_region)
+            rep = evaluate_bounds(p, eps, eps)
             # each bound on its own looks up the same masses
             standalone = (
-                bgen.transmission_bound_general(n, k, r_now, p.gamma_r, p.tau, p.alpha,
-                                                p.delta, p_region),
-                bgen.tau_max_general(n, k, r_now, p.gamma_r, p.alpha, p.delta, eps, p_region),
+                bgen.transmission_bound_general(n, k, r_now, p.gamma_r, p.tau, p.alpha, p.delta),
+                bgen.tau_max_general(n, k, r_now, p.gamma_r, p.alpha, p.delta, eps),
                 bgen.max_eaves_general(n, k, r_now, p.gamma_r, p.gamma_e, p.d0, p.alpha,
-                                       p.delta, eps, eps, p_region),
+                                       p.delta, eps, eps),
             )
             assert (rep.bound_t, rep.window.tau_max, rep.max_eaves) == standalone
-        # one split per distinct (n, k, r, p_region); the second pass at r splits nothing
+        # one split per distinct (n, k, r); the second pass at r splits nothing
         assert len(calls) == (1 if r_now == r else 2)
 

@@ -28,19 +28,23 @@ draw.  Memory per batch is the draws plus a fixed number of chunk arrays
 and tiles of about 2^15 float64 values (~256 KiB) each, or of one trial's
 n*m values when that is more, whatever the batch size.
 
-An overflow outside the SINR quotients (an enormous ``es``) would turn a
-finite SINR into +inf or NaN, so it raises ``FloatingPointError``, and so
-does a NaN SINR in ``_reduce``; an SINR quotient may overflow to the right
-+inf (a subnormal noise level).
+A signal or interference power past the float range (an enormous ``es``)
+would turn a finite SINR into +inf or NaN, so it raises
+``FloatingPointError`` with a message that says so, and so does a NaN SINR
+in ``_reduce``.  Two overflows are the right value and pass: an attenuation
+past the float range (a huge alpha) is +inf, a path loss of 0, and an SINR
+quotient may overflow to the right +inf (a subnormal noise level).
 
 Distances are handled squared, so no square root is taken: the region test
-is x^2 + y^2 <= r^2, capture is d^2 < d0^2, and path loss is
-max(d^2, delta^2)^(-alpha/2).  Each squared distance is an exact coordinate
-difference, except the relay->eavesdropper ones of the jammer interference:
-those come from one stacked matmul of Gram factors, |r - e|^2 = |r|^2 +
-|e|^2 - 2 r.e, within 1e-15 absolute on the unit square, so within
-1e-15/delta^2 relative at the clamp (~4e-13 at the default delta = 0.05).
-Capture and the selected relay's own hop-2 path loss keep exact differences.
+is x^2 + y^2 <= r^2, capture is d^2 < d0^2, and the path loss is applied as
+a divisor, the attenuation max(d^2, delta^2)^(alpha/2); at the default
+alpha = 2 that is the clamp alone, with no power.  Each squared distance is
+an exact coordinate difference, except the relay->eavesdropper ones of the
+jammer interference: those come from one stacked matmul of Gram factors,
+|r - e|^2 = |r|^2 + |e|^2 - 2 r.e, within 1e-15 absolute on the unit
+square, so within 1e-15/delta^2 relative at the clamp (~4e-13 at the
+default delta = 0.05).  Capture and the selected relay's own hop-2
+attenuation keep exact differences.
 
 Neither SINR threshold enters a draw, the relay selection or the jammer
 sets, so each trial is reduced to two statistics: the legitimate bottleneck
@@ -207,8 +211,12 @@ def _draw(params: ProtocolParams, rng: np.random.Generator, size: int) -> tuple:
     """
     n, m = params.n, params.m
     general = params.is_general
-    rel = rng.uniform(-0.5, 0.5, size=(size, n, 2)) if general else None
-    eav = rng.uniform(-0.5, 0.5, size=(size, m, 2)) if general and m else None
+    # random() less 0.5 in place: the bits of uniform(-0.5, 0.5), through the plain fill
+    rel = rng.random((size, n, 2)) if general else None
+    eav = rng.random((size, m, 2)) if general and m else None
+    for pos in (rel, eav):
+        if pos is not None:
+            pos -= 0.5
     g_sr = rng.standard_exponential((size, n))
     g_dr = rng.standard_exponential((size, n))
     pick_u = rng.random(size)
@@ -217,15 +225,23 @@ def _draw(params: ProtocolParams, rng: np.random.Generator, size: int) -> tuple:
     return rel, eav, g_sr, g_dr, pick_u, g_rr, g_se
 
 
-def _path_loss(d2: np.ndarray, params: ProtocolParams, out=None) -> np.ndarray:
-    """max(d, delta)^-alpha from squared distances, in place when ``out`` is given."""
+def _attenuation(d2: np.ndarray, params: ProtocolParams, out=None) -> np.ndarray:
+    """max(d, delta)^alpha from squared distances, in place when ``out`` is given:
+    the divisor that applies the path loss.  At alpha = 2 it is the clamp alone;
+    an attenuation past the float range is +inf, a path loss of 0."""
     clamped = np.maximum(d2, params.delta * params.delta, out=out)
-    return np.power(clamped, -0.5 * params.alpha, out=clamped)
+    if params.alpha == 2.0:
+        return clamped
+    with np.errstate(over="ignore"):
+        return np.power(clamped, 0.5 * params.alpha, out=clamped)
 
 
-def _unit_path_loss(params: ProtocolParams) -> float:
-    """The path loss of every link in the equal case: max(1, delta)^-alpha."""
-    return max(1.0, params.delta) ** (-params.alpha)
+def _unit_attenuation(params: ProtocolParams) -> float:
+    """The attenuation of every link in the equal case: max(1, delta)^alpha."""
+    try:
+        return max(1.0, params.delta) ** params.alpha
+    except OverflowError:
+        return math.inf
 
 
 def _select(params, g_sr, g_dr, pick_u, rx, ry) -> tuple:
@@ -256,30 +272,41 @@ def _legit_sinr(params, g_sr, g_dr, g_rr, jammers, jstar, rx, ry) -> np.ndarray:
     es = params.es
     rows = np.arange(len(jstar))
     if rx is None:
-        pl_rr = pl_rd = pl_s = pl_d = _unit_path_loss(params)
+        att_rr = att_rd = att_s = att_d = _unit_attenuation(params)
     else:
         sx, sy = rx[rows, jstar], ry[rows, jstar]
-        pl_rr = _path_loss((rx - sx[:, None]) ** 2 + (ry - sy[:, None]) ** 2, params)
-        pl_rd = _path_loss((rx - 0.5) ** 2 + ry * ry, params)
-        pl_s = _path_loss((sx + 0.5) ** 2 + sy * sy, params)
-        pl_d = pl_rd[rows, jstar]
-    sig1 = es * g_sr[rows, jstar] * pl_s
-    sig2 = es * g_dr[rows, jstar] * pl_d
+        att_rr = _attenuation((rx - sx[:, None]) ** 2 + (ry - sy[:, None]) ** 2, params)
+        att_rd = _attenuation((rx - 0.5) ** 2 + ry * ry, params)
+        att_s = _attenuation((sx + 0.5) ** 2 + sy * sy, params)
+        att_d = att_rd[rows, jstar]
+    sig1 = es * g_sr[rows, jstar] / att_s
+    sig2 = es * g_dr[rows, jstar] / att_d
     noise = params.n0 / 2.0
-    intf1 = es * np.sum(jammers[:, 0] * g_rr * pl_rr, axis=1)
-    intf2 = es * np.sum(jammers[:, 1] * g_dr * pl_rd, axis=1)
+    intf1 = es * np.sum(jammers[:, 0] * g_rr / att_rr, axis=1)
+    intf2 = es * np.sum(jammers[:, 1] * g_dr / att_rd, axis=1)
     # With a subnormal noise level and no jammer the quotient overflows to
     # +inf, which is the right SINR.
     with np.errstate(over="ignore"):
         return np.minimum(sig1 / (intf1 + noise), sig2 / (intf2 + noise))
 
 
+def _gram_buffers(tile: int, n: int, m: int) -> tuple:
+    """Buffers for ``_gram_d2`` of up to ``tile`` trials: the Gram factors
+    (tile, n, 4) and (tile, 4, m) with their constant 1s written, and the
+    (tile, n, m) product."""
+    rel_f, eav_f = np.empty((tile, n, 4)), np.empty((tile, 4, m))
+    rel_f[..., 3] = eav_f[:, 2] = 1.0
+    return rel_f, eav_f, np.empty((tile, n, m))
+
+
 def _gram_d2(rx, ry, ex, ey, rel_f, eav_f, out) -> np.ndarray:
     """Squared distances (h, n, m) from relays (rx, ry) to eavesdroppers (ex, ey):
     one stacked product of Gram factors, [x, y, x^2+y^2, 1] per relay in ``rel_f``
-    (h, n, 4) and [-2x', -2y', 1, x'^2+y'^2] per eavesdropper in ``eav_f`` (h, 4, m)."""
-    rel_f[..., 0], rel_f[..., 1], rel_f[..., 3] = rx, ry, 1.0
-    eav_f[:, 0], eav_f[:, 1], eav_f[:, 2] = -2.0 * ex, -2.0 * ey, 1.0
+    (h, n, 4) and [-2x', -2y', 1, x'^2+y'^2] per eavesdropper in ``eav_f`` (h, 4, m).
+    The constant 1s are already in place (see ``_gram_buffers``)."""
+    rel_f[..., 0], rel_f[..., 1] = rx, ry
+    np.multiply(ex, -2.0, out=eav_f[:, 0])
+    np.multiply(ey, -2.0, out=eav_f[:, 1])
     np.add(rx * rx, ry * ry, out=rel_f[..., 2])
     np.add(ex * ex, ey * ey, out=eav_f[:, 3])
     return np.matmul(rel_f, eav_f, out=out)
@@ -305,12 +332,12 @@ def _eaves(params, rng, g_se, eav, jammers, jstar, rx, ry) -> np.ndarray:
         d2_sel = (rx[rows, jstar, None] - ex) ** 2 + (ry[rows, jstar, None] - ey) ** 2
         d0_sq = params.d0 * params.d0
         captured1, captured2 = d2_se < d0_sq, d2_sel < d0_sq
-        sig_e1 = np.multiply(es * g_se, _path_loss(d2_se, params, out=d2_se), out=d2_se)
-        pl_e2 = _path_loss(d2_sel, params, out=d2_sel)
-        gram_bufs = np.empty((tile, n, 4)), np.empty((tile, 4, m)), np.empty_like(g_tile)
+        sig_e1 = np.divide(es * g_se, _attenuation(d2_se, params, out=d2_se), out=d2_se)
+        att_e2 = _attenuation(d2_sel, params, out=d2_sel)
+        gram_bufs = _gram_buffers(tile, n, m)
     else:
-        pl_e2 = _unit_path_loss(params)  # every link's path loss
-        sig_e1 = es * g_se * pl_e2
+        att_e2 = _unit_attenuation(params)  # every link's attenuation
+        sig_e1 = es * g_se / att_e2
     for lo in range(0, size, tile):
         hi = min(lo + tile, size)
         g_re = rng.standard_exponential(out=g_tile[:hi - lo])
@@ -318,14 +345,13 @@ def _eaves(params, rng, g_se, eav, jammers, jstar, rx, ry) -> np.ndarray:
         if general:
             d2 = _gram_d2(rx[lo:hi], ry[lo:hi], ex[lo:hi], ey[lo:hi],
                           *(buf[:hi - lo] for buf in gram_bufs))
-            weighted = _path_loss(d2, params, out=d2)
-            weighted *= g_re
+            weighted = np.divide(g_re, _attenuation(d2, params, out=d2), out=d2)
         else:
-            weighted = np.multiply(g_re, pl_e2, out=g_re)
+            weighted = np.divide(g_re, att_e2, out=g_re)
         # both hops' jammer interference in one stacked product
         np.matmul(jammers[lo:hi], weighted, out=intf_e[lo:hi])
     intf_e *= es
-    np.multiply(es * sig_e2, pl_e2, out=sig_e2)
+    np.divide(es * sig_e2, att_e2, out=sig_e2)
     noise = params.n0 / 2.0
     # SINRs overwrite the signal arrays; an overflow is the right +inf here too
     with np.errstate(over="ignore"):
@@ -361,6 +387,10 @@ def _reduce(n, bottleneck, eav_max, jstar, c, gamma_r, gamma_e) -> tuple:
     )
 
 
+def _power_overflow(kind, flag):
+    raise FloatingPointError("a signal or interference power passed the float range")
+
+
 def _run_batch(task) -> tuple:
     """Simulate one batch and count its outages at every threshold of the grids.
 
@@ -380,9 +410,10 @@ def _run_batch(task) -> tuple:
     bottleneck, eav_max = np.empty(size), np.full(size, -np.inf)
     jstar, c = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
     chunk = min(size, max(1, _CHUNK_ELEMS // max(n, m)))
-    # Outside the SINR quotients an overflow (a huge es) would turn a finite
-    # SINR into +inf or NaN: it raises FloatingPointError instead.
-    with np.errstate(over="raise"):
+    # Outside the attenuation and the SINR quotients an overflow (a huge es)
+    # would turn a finite SINR into +inf or NaN: it raises FloatingPointError
+    # instead, with a message that names it.
+    with np.errstate(over="call", call=_power_overflow):
         for lo in range(0, size, chunk):
             s = slice(lo, min(lo + chunk, size))
             rx = ry = eav_s = None

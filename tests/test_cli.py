@@ -382,11 +382,12 @@ class TestNonFiniteInput:
 
 
 class TestGoldenCounts:
-    """Estimate cells of five fixed-seed runs, pinned so that any change to the
+    """Estimate cells of seven fixed-seed runs, pinned so that any change to the
     geometry, the draws, the relay selection or the comparisons of the engine
     shows up here.  The two small-clamp runs (d0 = delta = 0.001; d0 = 0,
     delta = 1e-4) are where the Gram-form jammer distances carry their largest
-    error relative to the clamp.  Each row is (p_t_hat, p_t_lo, p_t_hi), (p_s_hat, p_s_lo,
+    error relative to the clamp; the two huge-alpha runs are where an
+    attenuation overflows to +inf.  Each row is (p_t_hat, p_t_lo, p_t_hi), (p_s_hat, p_s_lo,
     p_s_hi), (jain, entropy, no_candidate_rate): the load-balance cells come
     from the selection histogram, so a wrong relay index shows even when the
     outage counts are right."""
@@ -441,6 +442,21 @@ class TestGoldenCounts:
             [(("0.998291015625", "0.9964763422189936", "0.9991719141831389"),
               ("0.69775390625", "0.6835102840792282", "0.7116269465360228"),
               ("0.9863751810810303", "0.9981249461579964", "0.0"))],
+        ),
+        # an attenuation max(d, delta)^alpha past the float range is +inf: a path loss of 0
+        "general alpha = 3000": (
+            ["simulate", "--case", "general", "--n", "10", "--m", "5", "--k", "2", "--r", "0.5",
+             "--tau", "0.3", "--alpha", "3000", "--delta", "0.9"],
+            [(("0.2004", "0.19266997911549708", "0.20836011270821234"),
+              ("0.7429", "0.7342421350804194", "0.751371318511106"),
+              ("0.9994213350470078", "0.9998749089396874", "0.0"))],
+        ),
+        "equal alpha = 1100": (
+            ["simulate", "--case", "equal", "--n", "10", "--m", "5", "--k", "2", "--tau", "0.3",
+             "--alpha", "1100", "--delta", "2"],
+            [(("1.0", "0.9996160016293234", "1.0"),
+              ("0.0", "0.0", "0.00038399837067659573"),
+              ("0.9993498230051528", "0.9998590718436359", "0.0"))],
         ),
         "equal": (
             ["simulate", "--case", "equal", "--n", "6", "--m", "3", "--k", "2", "--tau", "0.3",

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -386,8 +387,7 @@ def _exact_d2(rx, ry, ex, ey):
 
 def _gram_d2(rx, ry, ex, ey):
     (h, n), m = rx.shape, ex.shape[1]
-    return montecarlo._gram_d2(rx, ry, ex, ey, np.empty((h, n, 4)), np.empty((h, 4, m)),
-                               np.empty((h, n, m)))
+    return montecarlo._gram_d2(rx, ry, ex, ey, *montecarlo._gram_buffers(h, n, m))
 
 
 class TestGramDistances:
@@ -416,9 +416,15 @@ class TestGramDistances:
         assert np.abs(d2 - _exact_d2(rx, ry, rx, ry)).max() <= 1e-15
         assert (on_diagonal < 0).any() and (on_diagonal > 0).any()  # rounding, both ways
         p = general_params(d0=1e-6, delta=1e-6)
-        at_clamp = montecarlo._path_loss(np.array([p.delta ** 2]), p)[0]
-        assert at_clamp == pytest.approx(p.delta ** -p.alpha, rel=1e-12)
-        assert (montecarlo._path_loss(on_diagonal, p) == at_clamp).all()
+        at_clamp = montecarlo._attenuation(np.array([p.delta ** 2]), p)[0]
+        assert at_clamp == pytest.approx(p.delta ** p.alpha, rel=1e-12)
+        assert (montecarlo._attenuation(on_diagonal, p) == at_clamp).all()
+
+    def test_position_draws_are_uniform_draws(self):
+        # _draw takes random() - 0.5 in place: the bits of uniform(-0.5, 0.5)
+        rel, eav, *_ = montecarlo._draw(general_params(n=7, m=3), np.random.default_rng(11), 50)
+        rng = np.random.default_rng(11)
+        assert all(np.array_equal(pos, rng.uniform(-0.5, 0.5, pos.shape)) for pos in (rel, eav))
 
     def test_capture_one_ulp_inside_and_outside_d0(self):
         # The selected relay 0 sits at (0.25, 0) and d0 = 2^-4, so an
@@ -514,7 +520,9 @@ class TestBatchEngineAgainstScalarProtocol:
                            * (1 / scalar_trials + 1 / engine_trials))
             assert abs(a - b) <= 4 * se, (a, b, se)
 
-    @pytest.mark.parametrize("maker", [equal_params, general_params])
+    @pytest.mark.parametrize("maker", [
+        equal_params, general_params,
+        pytest.param(functools.partial(general_params, alpha=3.5), id="general_alpha_3.5")])
     def test_outage_rates_agree(self, maker):
         params = maker(n=4, m=2, k=2, tau=0.6, gamma_r=0.8, gamma_e=1.2)
         self._assert_agree(params, 6000, 60_000)

@@ -1,7 +1,10 @@
 import dataclasses
 import functools
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -421,10 +424,28 @@ class TestGramDistances:
         assert (montecarlo._attenuation(on_diagonal, p) == at_clamp).all()
 
     def test_position_draws_are_uniform_draws(self):
-        # _draw takes random() - 0.5 in place: the bits of uniform(-0.5, 0.5)
-        rel, eav, *_ = montecarlo._draw(general_params(n=7, m=3), np.random.default_rng(11), 50)
-        rng = np.random.default_rng(11)
-        assert all(np.array_equal(pos, rng.uniform(-0.5, 0.5, pos.shape)) for pos in (rel, eav))
+        # _draw fills views of this thread's kept buffer, taking random() - 0.5
+        # in place for positions; every array holds the bits of a fresh
+        # whole-batch draw, whatever the shape of the batch before it.  The
+        # batches run back to back: shrinking, without eavesdroppers, growing.
+        batches = [(general_params(n=7, m=3), 50), (equal_params(n=4, m=2), 80),
+                   (general_params(n=5, m=0), 30), (equal_params(n=9, m=0), 200),
+                   (general_params(n=6, m=4), 120)]
+        for seed, (p, size) in enumerate(batches):
+            rng = np.random.default_rng(seed)
+            got = montecarlo._draw(p, rng, size)
+            fresh = np.random.default_rng(seed)
+            n, m, general = p.n, p.m, p.is_general
+            want = (fresh.uniform(-0.5, 0.5, (size, n, 2)) if general else None,
+                    fresh.uniform(-0.5, 0.5, (size, m, 2)) if general and m else None,
+                    fresh.standard_exponential((size, n)),
+                    fresh.standard_exponential((size, n)),
+                    fresh.random(size),
+                    fresh.standard_exponential((size, n)),
+                    fresh.standard_exponential((size, m)) if m else None)
+            for a, b in zip(got, want, strict=True):
+                assert (a is None and b is None) or (a.shape == b.shape and np.array_equal(a, b))
+            assert rng.random() == fresh.random()  # the same share of the stream
 
     def test_capture_one_ulp_inside_and_outside_d0(self):
         # The selected relay 0 sits at (0.25, 0) and d0 = 2^-4, so an
@@ -445,7 +466,11 @@ class TestEngineMemory:
     The tracemalloc peak of ``estimate`` is the draws of one batch plus a
     fixed allowance for the chunk's arrays and tiles (each about
     _CHUNK_ELEMS float64 values, or one trial's n*m values when n*m is
-    larger)."""
+    larger).  The draws are views of one float64 buffer per thread that is
+    kept between batches and calls, so each thread keeps its largest batch's
+    draws, 5n+3m+1 values per trial in the general case and 3n+m+1 in the
+    equal case (about 50 MiB at general n = m = 200), and a call whose
+    batches fit it allocates no draws."""
 
     ALLOWANCE = 32 * montecarlo._CHUNK_ELEMS * 8  # 8 MiB
 
@@ -477,6 +502,40 @@ class TestEngineMemory:
         p = general_params(n=20, m=10, k=3, r=0.4, tau=0.5)
         peak = _traced_peak_mib(lambda: estimate(p, 4096, seed=1))
         assert peak <= (self.draw_bytes(p, 4096) + 15 * montecarlo._CHUNK_ELEMS * 8) / 2**20
+
+    def test_a_second_call_allocates_no_draws(self):
+        p = general_params(n=20, m=10, k=3, r=0.4, tau=0.5)
+        estimate(p, 4096, seed=1)
+        peak = _traced_peak_mib(lambda: estimate(p, 4096, seed=2))
+        assert peak < self.draw_bytes(p, 4096) / 2**20
+
+    def test_threads_keep_their_own_draws(self):
+        # each thread draws into its own buffer, so calls that run at the same
+        # time in more threads than cores, switching often, get the reports
+        # of a serial run; one shared buffer would mix their draws
+        calls = [(general_params(n=20, m=10, k=3, r=0.4, tau=0.5), 2 * BATCH_SIZE + 5, 1024),
+                 (equal_params(n=30, m=6, k=4, tau=0.5), 3 * BATCH_SIZE, 1500),
+                 (general_params(n=9, m=0, k=2, r=0.45, tau=0.5), 5000, 700),
+                 (equal_params(n=12, m=3, k=2, tau=0.4), 6000, 2048)]
+        serial = [estimate(p, trials, seed=7, batch_size=b) for p, trials, b in calls]
+        start = threading.Barrier(len(calls))
+
+        def run(call):
+            p, trials, batch = call
+            start.wait(timeout=60)
+            return [estimate(p, trials, seed=7, batch_size=batch) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+                futures = [pool.submit(run, call) for call in calls]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, reports in zip(serial, threaded, strict=True):
+            for got in reports:
+                assert_same_report(got, want)
 
 
 class TestEngineAgainstExactLaw:

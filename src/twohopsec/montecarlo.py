@@ -31,7 +31,9 @@ of one float64 buffer per thread, kept between batches and ``estimate``
 calls and grown only when a batch needs more room, so no batch maps fresh
 pages for them.  Each thread keeps its largest batch's draws: 5n+3m+1
 values per trial in the general case and 3n+m+1 in the equal case, about
-50 MiB (52 MB) for a 4096-trial batch at general n = m = 200.
+50 MiB (52 MB) for a 4096-trial batch at general n = m = 200.  The kept
+buffer holds at most 2^23 values (64 MiB); a batch whose draws need more
+gets a buffer of its own, freed with the batch.
 
 A signal or interference power past the float range (an enormous ``es``)
 would turn a finite SINR into +inf or NaN, so it raises
@@ -92,8 +94,9 @@ BATCH_SIZE = 4096
 # tile (trials x n x m): 2^15 float64 values, about 256 KiB.
 _CHUNK_ELEMS = 1 << 15
 _Z95 = 1.959963984540054
-# each thread's batch draws (see _draw_buffer)
+# each thread's batch draws (see _draw_buffer), kept up to 2^23 values (64 MiB)
 _THREAD_DRAWS = threading.local()
+_KEPT_DRAWS = 1 << 23
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +212,17 @@ def _pick_among_best(w_eff: np.ndarray, k: int, region_count: np.ndarray,
 
 
 def _draw_buffer(count: int) -> np.ndarray:
-    """This thread's kept float64 draw buffer, at least ``count`` values long.
+    """A float64 draw buffer at least ``count`` values long.
 
-    The buffer lives between batches and ``estimate`` calls and is replaced
-    only when a batch needs more room, so a thread keeps its largest batch's
-    draws.  A buffer that is never freed maps no fresh pages per batch and
-    leaves the allocator's thresholds where they are.
+    Up to ``_KEPT_DRAWS`` values it is this thread's kept buffer, which
+    lives between batches and ``estimate`` calls and is replaced only when a
+    batch needs more room, so a thread keeps its largest such batch's draws.
+    A buffer that is never freed maps no fresh pages per batch and leaves
+    the allocator's thresholds where they are.  Past ``_KEPT_DRAWS`` values
+    the batch gets a buffer of its own, freed with the batch.
     """
+    if count > _KEPT_DRAWS:
+        return np.empty(count)
     buf = getattr(_THREAD_DRAWS, "buf", None)
     if buf is None or buf.size < count:
         buf = _THREAD_DRAWS.buf = np.empty(count)
@@ -229,28 +236,33 @@ def _draw(params: ProtocolParams, rng: np.random.Generator, size: int) -> tuple:
     (batch, m, 2), g_sr, g_dr, pick_u, g_rr, g_se); positions are None in
     the equal case and the eavesdropper arrays None when m = 0.  The
     relays -> eavesdroppers gains come last and are drawn tile by tile in
-    ``_eaves``.  The arrays are views of this thread's draw buffer, valid
-    until its next ``_draw``; each holds the bits of a fresh draw of its shape.
+    ``_eaves``.  The arrays are views of a ``_draw_buffer``, valid until
+    this thread's next ``_draw``; each holds the bits of a fresh draw of its
+    shape.
     """
     n, m = params.n, params.m
     general = params.is_general
-    uniform, exponential = rng.random, rng.standard_exponential
-    shapes = ((size, n, 2) if general else None, (size, m, 2) if general and m else None,
-              (size, n), (size, n), (size,), (size, n), (size, m) if m else None)
-    fills = (uniform, uniform, exponential, exponential, uniform, exponential, exponential)
-    buf = _draw_buffer(sum(math.prod(shape) for shape in shapes if shape))
-    draws, end = [], 0
-    for shape, fill in zip(shapes, fills):
-        view = None
-        if shape is not None:
-            start, end = end, end + math.prod(shape)
-            view = fill(out=buf[start:end].reshape(shape))
-        draws.append(view)
+    buf = _draw_buffer(size * (5 * n + 3 * m + 1 if general else 3 * n + m + 1))
+    end = 0
+
+    def take(*shape):
+        # the next unused values of buf, as an array of this shape
+        nonlocal end
+        start, end = end, end + math.prod(shape)
+        return buf[start:end].reshape(shape)
+
     # random() less 0.5 in place: the bits of uniform(-0.5, 0.5), through the plain fill
-    for pos in draws[:2]:
+    rel = rng.random(out=take(size, n, 2)) if general else None
+    eav = rng.random(out=take(size, m, 2)) if general and m else None
+    for pos in (rel, eav):
         if pos is not None:
             pos -= 0.5
-    return tuple(draws)
+    g_sr = rng.standard_exponential(out=take(size, n))
+    g_dr = rng.standard_exponential(out=take(size, n))
+    pick_u = rng.random(out=take(size))
+    g_rr = rng.standard_exponential(out=take(size, n))
+    g_se = rng.standard_exponential(out=take(size, m)) if m else None
+    return rel, eav, g_sr, g_dr, pick_u, g_rr, g_se
 
 
 def _attenuation(d2: np.ndarray, params: ProtocolParams, out=None) -> np.ndarray:

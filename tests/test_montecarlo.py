@@ -375,7 +375,11 @@ class TestEavesdropperChunks:
         assert np.isfinite(w_eff[selected, jstar[selected]]).all()
 
 
-def _traced_peak_mib(fn) -> float:
+def _traced_peak_mib(fn, cold=True) -> float:
+    # cold: this thread's kept draw buffer is dropped first, so the draws
+    # count in the peak as at the first call in a thread
+    if cold:
+        montecarlo._THREAD_DRAWS.__dict__.clear()
     tracemalloc.start()
     try:
         fn()
@@ -423,11 +427,14 @@ class TestGramDistances:
         assert at_clamp == pytest.approx(p.delta ** p.alpha, rel=1e-12)
         assert (montecarlo._attenuation(on_diagonal, p) == at_clamp).all()
 
-    def test_position_draws_are_uniform_draws(self):
+    def test_position_draws_are_uniform_draws(self, monkeypatch):
         # _draw fills views of this thread's kept buffer, taking random() - 0.5
         # in place for positions; every array holds the bits of a fresh
         # whole-batch draw, whatever the shape of the batch before it.  The
-        # batches run back to back: shrinking, without eavesdroppers, growing.
+        # batches run back to back from an empty buffer: shrinking, without
+        # eavesdroppers, past the kept cap of 5200 values (5600), growing (5160).
+        monkeypatch.setattr(montecarlo, "_THREAD_DRAWS", threading.local())
+        monkeypatch.setattr(montecarlo, "_KEPT_DRAWS", 5200)
         batches = [(general_params(n=7, m=3), 50), (equal_params(n=4, m=2), 80),
                    (general_params(n=5, m=0), 30), (equal_params(n=9, m=0), 200),
                    (general_params(n=6, m=4), 120)]
@@ -446,6 +453,7 @@ class TestGramDistances:
             for a, b in zip(got, want, strict=True):
                 assert (a is None and b is None) or (a.shape == b.shape and np.array_equal(a, b))
             assert rng.random() == fresh.random()  # the same share of the stream
+        assert montecarlo._THREAD_DRAWS.buf.size == 5160  # the 5600 values were not kept
 
     def test_capture_one_ulp_inside_and_outside_d0(self):
         # The selected relay 0 sits at (0.25, 0) and d0 = 2^-4, so an
@@ -469,8 +477,9 @@ class TestEngineMemory:
     larger).  The draws are views of one float64 buffer per thread that is
     kept between batches and calls, so each thread keeps its largest batch's
     draws, 5n+3m+1 values per trial in the general case and 3n+m+1 in the
-    equal case (about 50 MiB at general n = m = 200), and a call whose
-    batches fit it allocates no draws."""
+    equal case (about 50 MiB at general n = m = 200), up to 2^23 values
+    (64 MiB); a call whose batches fit it allocates no draws.  The peaks are
+    measured cold, with the kept buffer dropped first, so the draws count."""
 
     ALLOWANCE = 32 * montecarlo._CHUNK_ELEMS * 8  # 8 MiB
 
@@ -506,7 +515,7 @@ class TestEngineMemory:
     def test_a_second_call_allocates_no_draws(self):
         p = general_params(n=20, m=10, k=3, r=0.4, tau=0.5)
         estimate(p, 4096, seed=1)
-        peak = _traced_peak_mib(lambda: estimate(p, 4096, seed=2))
+        peak = _traced_peak_mib(lambda: estimate(p, 4096, seed=2), cold=False)
         assert peak < self.draw_bytes(p, 4096) / 2**20
 
     def test_threads_keep_their_own_draws(self):

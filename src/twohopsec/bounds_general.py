@@ -209,6 +209,10 @@ def channel_survival_base(n: int, gamma_r: float, tau: float, r: float, alpha: f
         raise ValueError("require tau >= 0, gamma_r > 0, r >= 0")
     if tau == 0.0 or n == 1:
         return 1.0
+    if math.isinf(r):
+        # 0 for every tau > 0; the product below would take 0 * inf once
+        # tau * (1 - e^-tau) underflows
+        return 0.0
     return math.exp(
         -gamma_r * tau * (n - 1) * (-math.expm1(-tau)) * (0.5 + r) ** alpha
     )
@@ -250,12 +254,15 @@ def transmission_bound_general(
     """Upper bound on transmission outage in the distance-dependent case.
 
     1 - U^(phi1+phi2) * P(1 <= L <= k) - U^(2(phi1+phi2))/k^2 * P(L > k)
-    with L the binomial in-region relay count and U the survival base.
+    with L the binomial in-region relay count and U the survival base.  A
+    NaN raises FloatingPointError: the clamp to [0, 1] would pass it through.
     """
     s1, s2 = region_sums(n, k, r)
     u = channel_survival_base(n, gamma_r, tau, r, alpha)
     phi = geometry_integrals(alpha, delta).hop_sum
     value = 1.0 - u**phi * s1 - (u ** (2.0 * phi)) / (k * k) * s2
+    if math.isnan(value):
+        raise FloatingPointError("the transmission bound evaluated to NaN")
     return min(max(value, 0.0), 1.0)
 
 

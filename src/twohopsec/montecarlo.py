@@ -17,7 +17,9 @@ relays->eavesdroppers.
 A batch runs as named stages, draw -> select -> jam -> legit_sinr -> eaves
 -> reduce.  ``_draw`` takes every whole-batch draw but the last.  The next
 four run over trial chunks of max(1, 2^15 // max(n, m)) trials: ``_select``
-applies the region and picks the relay, ``_jam`` forms both hops' jammer
+applies the region and picks the relay by sorted value (one sort per trial,
+the pick exactly where a stable descending sort ranks it, ties included, at
+a cost that does not depend on k), ``_jam`` forms both hops' jammer
 sets, ``_legit_sinr`` gives the bottleneck SINR and ``_eaves`` the strongest
 eavesdropper SINR, each written into a (batch,) array that ``_reduce``
 counts.  ``_eaves`` walks its chunk's (trial, relay, eavesdropper) tensor in
@@ -190,25 +192,29 @@ def _pick_among_best(w_eff: np.ndarray, k: int, region_count: np.ndarray,
                      pick_u: np.ndarray) -> tuple:
     """Pick each trial's relay uniformly among its best min(k, region_count).
 
-    Returns (jstar, c) with c the candidate count.  Candidates are ranked as
-    a stable descending sort of ``w_eff`` would rank them (ties by relay
-    index); since pick < c <= k, only the best k are sorted.  Only a tie
-    across the k-th place (k < n) may keep either relay, an event of
-    probability zero for continuous gains.  A pick never reaches a -inf
+    Returns (jstar, c) with c the candidate count.  The relay picked at rank
+    ``pick`` is the one a stable descending sort of ``w_eff`` ranks there
+    (ties by relay index), found by sorted value: one sort of each row gives
+    its pick-th largest value, and the first relay that holds it is the pick.
+    Only a row in which a relay of that value ranks before the pick is ranked
+    in full, by the stable sort itself.  So the rule is exact, ties included,
+    and the cost does not depend on k.  A pick never reaches a -inf
     (out-of-region) entry, because c <= region_count; in a trial with no
-    candidate, jstar is arbitrary and unused.
+    candidate, jstar is relay 0 and unused.
     """
-    size = w_eff.shape[0]
-    neg = -w_eff
-    top = np.argpartition(neg, k - 1, axis=1)[:, :k]
-    # relay-index order first, so the stable sort breaks ties by index
-    top.sort(axis=1)
-    ranks = np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable")
-    order = np.take_along_axis(top, ranks, axis=1)
+    size, n = w_eff.shape
     c = np.minimum(k, region_count)
     c_safe = np.maximum(c, 1)
     pick = np.minimum((pick_u * c_safe).astype(np.int64), c_safe - 1)
-    return order[np.arange(size), pick], c
+    ranked = np.sort(w_eff, axis=1)
+    rows = np.arange(size)
+    at = n - 1 - pick  # the pick-th largest value's place in ascending order
+    value = ranked[rows, at]
+    jstar = np.argmax(w_eff == value[:, None], axis=1)
+    tied = np.flatnonzero((pick > 0) & (ranked[rows, np.minimum(at + 1, n - 1)] == value))
+    order = np.argsort(-w_eff[tied], axis=1, kind="stable")
+    jstar[tied] = order[np.arange(len(tied)), pick[tied]]
+    return jstar, c
 
 
 def _draw_buffer(count: int) -> np.ndarray:
@@ -293,7 +299,9 @@ def _select(params, g_sr, g_dr, pick_u, rx, ry) -> tuple:
         return _pick_among_best(w, params.k, np.full(len(w), params.n), pick_u)
     in_region = rx * rx + ry * ry <= params.r * params.r
     w[~in_region] = -np.inf
-    return _pick_among_best(w, params.k, in_region.sum(axis=1), pick_u)
+    # the count as a matrix-vector product: one pass, not a sum per row
+    region_count = (in_region @ np.ones(params.n)).astype(np.int64)
+    return _pick_among_best(w, params.k, region_count, pick_u)
 
 
 def _jam(params, g_rr, g_dr, jstar) -> np.ndarray:
@@ -322,8 +330,10 @@ def _legit_sinr(params, g_sr, g_dr, g_rr, jammers, jstar, rx, ry) -> np.ndarray:
     sig1 = es * g_sr[rows, jstar] / att_s
     sig2 = es * g_dr[rows, jstar] / att_d
     noise = params.n0 / 2.0
-    intf1 = es * np.sum(jammers[:, 0] * g_rr / att_rr, axis=1)
-    intf2 = es * np.sum(jammers[:, 1] * g_dr / att_rd, axis=1)
+    # each hop's interference sum as a matrix-vector product, not a sum per row
+    ones = np.ones(g_rr.shape[1])
+    intf1 = es * ((jammers[:, 0] * g_rr / att_rr) @ ones)
+    intf2 = es * ((jammers[:, 1] * g_dr / att_rd) @ ones)
     # With a subnormal noise level and no jammer the quotient overflows to
     # +inf, which is the right SINR.
     with np.errstate(over="ignore"):
@@ -400,7 +410,8 @@ def _eaves(params, rng, g_se, eav, jammers, jstar, rx, ry) -> np.ndarray:
     if general:
         sinr_e1[captured1] = np.inf
         sinr_e2[captured2] = np.inf
-    return np.maximum(sinr_e1, sinr_e2, out=sinr_e1).max(axis=1)
+    # the maximum over eavesdroppers down the columns of a transposed copy, not per row
+    return np.maximum(sinr_e1, sinr_e2, out=sinr_e1).T.copy().max(axis=0)
 
 
 def _reduce(n, bottleneck, eav_max, jstar, c, gamma_r, gamma_e) -> tuple:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twohopsec import bounds_general
 from twohopsec.bounds_equal import max_eaves_equal
 from twohopsec.bounds_general import (
     _GL_NODES,
@@ -125,6 +126,18 @@ class TestSurvivalBase:
 
     def test_infinite_radius(self):
         assert channel_survival_base(5, 1.0, 0.5, math.inf, 2.0) == 0.0
+
+    @pytest.mark.parametrize("tau", [1e-300, 5e-324])
+    def test_infinite_radius_at_a_tau_whose_product_underflows(self, tau):
+        # tau * (1 - e^-tau) underflows to 0, and 0 * inf used to give NaN:
+        # `bounds --case general --tau 1e-300` printed bound_t = nan
+        assert channel_survival_base(5, 1.0, tau, math.inf, 2.0) == 0.0
+        assert transmission_bound_general(5, 1, math.inf, 1.0, tau, ALPHA, DELTA) == 1.0
+
+    def test_a_nan_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(bounds_general, "channel_survival_base", lambda *args: math.nan)
+        with pytest.raises(FloatingPointError, match="NaN"):
+            transmission_bound_general(5, 1, 0.3, 1.0, 0.2, ALPHA, DELTA)
 
 
 class TestNuCoeffs:

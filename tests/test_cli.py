@@ -382,9 +382,10 @@ class TestNonFiniteInput:
 
 
 class TestGoldenCounts:
-    """Estimate cells of seven fixed-seed runs, pinned so that any change to the
+    """Estimate cells of nine fixed-seed runs, pinned so that any change to the
     geometry, the draws, the relay selection or the comparisons of the engine
-    shows up here.  The two small-clamp runs (d0 = delta = 0.001; d0 = 0,
+    shows up here.  The last two run k up to n, where the relay is picked
+    among every in-region relay.  The two small-clamp runs (d0 = delta = 0.001; d0 = 0,
     delta = 1e-4) are where the Gram-form jammer distances carry their largest
     error relative to the clamp; the two huge-alpha runs are where an
     attenuation overflows to +inf.  Each row is (p_t_hat, p_t_lo, p_t_hi), (p_s_hat, p_s_lo,
@@ -464,6 +465,29 @@ class TestGoldenCounts:
             [(("0.055", "0.05070013939854093", "0.059641619151361236"),
               ("0.8295", "0.8220029364122559", "0.8367440086614684"),
               ("0.999824270886149", "0.9999510803821307", "0.0"))],
+        ),
+        # random selection: every relay is a candidate, so the pick is uniform over all n
+        "equal k = n = 20": (
+            ["simulate", "--case", "equal", "--n", "20", "--m", "5", "--k", "20"],
+            [(("0.4672", "0.4574357536064821", "0.47698943668663424"),
+              ("0.4819", "0.4721154316287316", "0.49169846911228676"),
+              ("0.9981458442796661", "0.9996923102211941", "0.0"))],
+        ),
+        # k = 1, 5, 8, 12: from optimal to random selection, with trials that
+        # have no candidate or fewer in-region relays than k
+        "general k sweep to k = n": (
+            ["sweep", "--case", "general", "--n", "12", "--m", "4", "--r", "0.25", "--tau", "0.5",
+             "--sweep-param", "k", "--sweep-from", "1", "--sweep-to", "12", "--sweep-steps", "4",
+             "--trials", "5000", "--seed", "7", "--no-bounds"],
+            [(("0.8904", "0.8814395616410272", "0.8987610166802723"),
+              ("0.4768", "0.46297900309234924", "0.49065661827790147"),
+              ("0.9978253939296777", "0.9995637659835561", "0.0692")),
+             (("0.9336", "0.9263605009399495", "0.9401737479332971"),
+              ("0.4878", "0.47395976996860933", "0.5016589619588502"),
+              ("0.9983110530983077", "0.9996575289545816", "0.0692"))] + 2 * [
+             (("0.9336", "0.9263605009399495", "0.9401737479332971"),
+              ("0.4884", "0.4745589138770173", "0.5022588968081081"),
+              ("0.9980030462069489", "0.9995932143836073", "0.0692"))],
         ),
     }
 

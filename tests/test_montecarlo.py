@@ -343,20 +343,31 @@ class TestEavesdropperChunks:
             for a, b in zip(default, reports()):
                 assert_same_report(a, b)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 9])
-    def test_partial_selection_picks_what_a_full_stable_sort_picks(self, k):
+    @pytest.mark.parametrize("n, k", [(9, 1), (9, 2), (9, 3), (9, 5), (9, 8), (9, 9),
+                                      (64, 1), (64, 5), (64, 64)])
+    def test_partial_selection_picks_what_a_full_stable_sort_picks(self, n, k):
         rng = np.random.default_rng(3)
-        size, n = 4000, 9
+        size = 4000
         w = rng.standard_exponential((size, n))
         # about a third of the relays out of region; rows with fewer than k
         # (or no) in-region relays included
         in_region = rng.random((size, n)) < 0.35
         in_region[:50] = False
         in_region[50:100] = True
-        if k >= 2:
-            # a tie for first place, inside the best k: broken by relay index
-            in_region[100:200, [4, 7]] = True
-            w[100:200, [4, 7]] = 1e3
+        in_region[1400:1500] = False
+        in_region[1400:1500, 3] = True  # one candidate, fewer than every k >= 2
+        # a tie for first place: broken by relay index
+        in_region[100:200, [4, 7]] = True
+        w[100:200, [4, 7]] = 1e3
+        # a tie at second and third place, below a clear best
+        in_region[200:300, [1, 3, 6]] = True
+        w[200:300, 1], w[200:300, [3, 6]] = 2e3, 1e3
+        # every relay tied, so the tie spans the k-th place
+        in_region[300:400] = True
+        w[300:400] = 0.5
+        # three gain levels: ties at every rank, the k-th place included
+        w[400:1400] = rng.integers(0, 3, (1000, n))
+        in_region[400:900] = True
         w_eff = np.where(in_region, w, -np.inf)
         region_count = in_region.sum(axis=1)
         pick_u = rng.random(size)
@@ -371,8 +382,45 @@ class TestEavesdropperChunks:
         selected = c_ref > 0
         assert (~selected).sum() >= 50
         assert k == 1 or (selected & (region_count < k)).any()
-        assert np.array_equal(jstar[selected], jstar_ref[selected])
+        # some picks land past the first of several relays tied at their value
+        w_pick = w_eff[np.arange(size), jstar_ref]
+        assert k == 1 or (selected & (pick > 0) & (w_eff[np.arange(size), order[
+            np.arange(size), np.maximum(pick - 1, 0)]] == w_pick)).any()
+        assert np.array_equal(jstar, jstar_ref)
         assert np.isfinite(w_eff[selected, jstar[selected]]).all()
+
+    @pytest.mark.parametrize("params", [general_params(n=20, m=3, alpha=3.5), equal_params(n=20)],
+                             ids=["general", "equal"])
+    def test_legit_sinr_against_a_per_trial_sum(self, params):
+        # Each hop's interference is one matrix-vector product per chunk, which
+        # adds in another order than a per-row sum: it must agree with an
+        # exactly rounded sum per trial within 4n ulp.
+        rng = np.random.default_rng(5)
+        size, n, d2_min = 300, params.n, params.delta * params.delta
+        g_sr, g_dr, g_rr = rng.standard_exponential((3, size, n))
+        jstar = rng.integers(0, n, size)
+        rx, ry = rng.uniform(-0.5, 0.5, (2, size, n)) if params.is_general else (None, None)
+        jammers = montecarlo._jam(params, g_rr, g_dr, jstar)
+        got = montecarlo._legit_sinr(params, g_sr, g_dr, g_rr, jammers, jstar, rx, ry)
+
+        def att(x0, y0, x1, y1):
+            if rx is None:
+                return max(1.0, params.delta) ** params.alpha
+            return max((x0 - x1) ** 2 + (y0 - y1) ** 2, d2_min) ** (params.alpha / 2)
+
+        noise = params.n0 / 2
+        for t, j in enumerate(jstar):
+            x, y = (rx[t], ry[t]) if rx is not None else (np.zeros(n), np.zeros(n))
+            hops = []
+            for g, (ax, ay), jam in ((g_rr[t], (x[j], y[j]), g_rr[t] < params.tau),
+                                     (g_dr[t], (0.5, 0.0), g_dr[t] < params.tau)):
+                intf = math.fsum(g[i] / att(x[i], y[i], ax, ay)
+                                 for i in range(n) if jam[i] and i != j)
+                hops.append(params.es * intf)
+            sig1 = params.es * g_sr[t, j] / att(x[j], y[j], -0.5, 0.0)
+            sig2 = params.es * g_dr[t, j] / att(x[j], y[j], 0.5, 0.0)
+            want = min(sig1 / (hops[0] + noise), sig2 / (hops[1] + noise))
+            assert got[t] == pytest.approx(want, rel=4 * n * np.finfo(float).eps)
 
 
 def _traced_peak_mib(fn, cold=True) -> float:

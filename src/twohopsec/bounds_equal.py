@@ -70,8 +70,8 @@ def _check_eps(eps: float, name: str) -> None:
 
 def _check_reliability(n: int, k: int, gamma_r: float, eps_t: float) -> None:
     """The inputs every tau_max and tolerance evaluation must satisfy."""
-    if n < 2:
-        raise ValueError("tau window requires n >= 2")
+    if n < 1:
+        raise ValueError("tau window requires n >= 1")
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= n")
     _check_eps(eps_t, "eps_t")
@@ -81,8 +81,8 @@ def _check_reliability(n: int, k: int, gamma_r: float, eps_t: float) -> None:
 
 def _check_secrecy(n: int, gamma_e: float, eps_s: float) -> None:
     """The inputs every tau_min and tolerance evaluation must satisfy."""
-    if n < 2:
-        raise ValueError("tau window requires n >= 2")
+    if n < 1:
+        raise ValueError("tau window requires n >= 1")
     _check_eps(eps_s, "eps_s")
     if gamma_e <= 0:
         raise ValueError("gamma_e must be positive")
@@ -115,11 +115,15 @@ def _interception(m: int, level: float, J: float, cap: float = 0.0) -> Saturatin
 def _tau_min(n: int, m: int, level: float, eps_s: float, cap: float = 0.0):
     """Smallest tau bringing ``_interception`` with J = (n-1)(1-e^-tau) within eps_s.
 
-    ``None`` when the capture share alone exhausts the budget or no threshold
-    reaches it; with m >= 1 the budget is below 1, so some jamming is needed.
+    ``None`` at n = 1, where no relay jams, when the capture share alone
+    exhausts the budget or when no threshold reaches it; 0.0 at m = 0.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if n == 1:
+        return None
+    if m == 0:
+        return 0.0
     budget = _secrecy_budget(eps_s) / m - cap
     if budget <= 0.0 or level == 0.0:
         return None
@@ -129,22 +133,23 @@ def _tau_min(n: int, m: int, level: float, eps_s: float, cap: float = 0.0):
     return -math.log(bracket)
 
 
-def _root(target: float | None, scale: float, denom: float):
-    """sqrt(-scale * log(target) / denom), the tau_max and tolerance exponent.
+def _root(target: float | None, denom: float):
+    """sqrt(-log(target) / denom), the largest admissible tau.
 
     ``target`` is the smallest survival level the reliability requirement
     admits, always positive; ``None`` or >= 1 means no threshold meets it.
     """
     if target is None or target >= 1.0:
         return None
-    return math.sqrt(-scale * math.log(target) / denom)
+    return math.sqrt(-math.log(target) / denom)
 
 
-def _tolerance(exponent: float | None, level: float, eps_s: float, cap: float = 0.0):
-    """The secrecy budget over ``_interception``'s factor at J = exponent; None stays None."""
-    if exponent is None:
+def _tolerance(n: int, tau_max: float | None, level: float, eps_s: float, cap: float = 0.0):
+    """The secrecy budget over ``_interception``'s factor at J = (n-1)*tau_max, which
+    relaxes (n-1)(1-e^-tau_max) upward; a ``None`` tau_max stays None."""
+    if tau_max is None:
         return None
-    factor = cap + (1.0 - cap) * (1.0 / (1.0 + level)) ** exponent
+    factor = cap + (1.0 - cap) * (1.0 / (1.0 + level)) ** ((n - 1) * tau_max)
     bound = _secrecy_budget(eps_s) / factor if factor > 0.0 else math.inf
     return EavesTolerance(bound, None if math.isinf(bound) else int(math.floor(bound)))
 
@@ -186,17 +191,20 @@ def _reliability_bracket(k: int, eps_t: float) -> float:
 def tau_max_equal(n: int, k: int, gamma_r: float, eps_t: float):
     """Largest jamming threshold keeping the transmission bound within eps_t.
 
-    Finite, or ``None`` when no threshold can satisfy it (the central-binomial
-    relaxation makes k >= 2 infeasible at moderate eps_t).
+    Finite, or ``None`` at n = 1, where no relay jams, and when no threshold
+    can satisfy it (the central-binomial relaxation makes k >= 2 infeasible
+    at moderate eps_t).
     """
     _check_reliability(n, k, gamma_r, eps_t)
-    return _root(_reliability_bracket(k, eps_t), 1, 2.0 * gamma_r * (n - 1))
+    if n == 1:
+        return None
+    return _root(_reliability_bracket(k, eps_t), 2.0 * gamma_r * (n - 1))
 
 
 def tau_min_equal(n: int, m: int, gamma_e: float, eps_s: float):
     """Smallest jamming threshold keeping the secrecy bound within eps_s.
 
-    ``None`` when jamming cannot reach the target at any threshold.
+    ``None`` at n = 1 or when no threshold reaches the target; 0.0 at m = 0.
     """
     _check_secrecy(n, gamma_e, eps_s)
     return _tau_min(n, m, gamma_e, eps_s)
@@ -209,12 +217,11 @@ def max_eaves_equal(
 
     (1 - sqrt(1-eps_s)) divided by the per-eavesdropper factor evaluated at
     the largest admissible jamming threshold.  ``None`` when the reliability
-    requirement itself is infeasible.
+    requirement itself is infeasible or n = 1.
     """
-    _check_reliability(n, k, gamma_r, eps_t)
+    tau_hi = tau_max_equal(n, k, gamma_r, eps_t)
     _check_secrecy(n, gamma_e, eps_s)
-    exponent = _root(_reliability_bracket(k, eps_t), n - 1, 2.0 * gamma_r)
-    return _tolerance(exponent, gamma_e, eps_s)
+    return _tolerance(n, tau_hi, gamma_e, eps_s)
 
 
 def transmission_bound_equal_binomial_jammers(

@@ -325,11 +325,13 @@ def tau_max_general(
     """Largest jamming threshold keeping the transmission bound within eps_t.
 
     Inverts the quadratic in U^(phi1+phi2), linear when no relay mass lies
-    above k.  Finite, or ``None`` when no threshold meets the requirement.
+    above k.  Finite, or ``None`` when no threshold meets it or n = 1.
     """
     _check_reliability(n, k, gamma_r, eps_t)
+    if n == 1:
+        return None
     denom = gamma_r * (n - 1) * geometry_integrals(alpha, delta).hop_sum * (0.5 + r) ** alpha
-    return _root(_survival_target(k, eps_t, region_sums(n, k, r)), 1, denom)
+    return _root(_survival_target(k, eps_t, region_sums(n, k, r)), denom)
 
 
 def tau_min_general(
@@ -344,7 +346,8 @@ def tau_min_general(
     """Smallest jamming threshold keeping the secrecy bound within eps_s.
 
     Infeasible (``None``) when the capture discs alone exhaust the secrecy
-    budget or when d0 = 0 degenerates the inversion (log(1+0) = 0).
+    budget, when d0 = 0 degenerates the inversion (log(1+0) = 0) or n = 1;
+    0.0 at m = 0.
     """
     _check_secrecy(n, gamma_e, eps_s)
     cap = _capture_share(d0)
@@ -367,11 +370,9 @@ def max_eaves_general(
 
     (1-sqrt(1-eps_s)) / (pi*d0^2 + (1-pi*d0^2)*omega) where omega is the
     per-eavesdropper factor at the largest admissible jamming threshold.
-    ``None`` when the reliability requirement is infeasible.
+    ``None`` when the reliability requirement is infeasible or n = 1.
     """
-    _check_reliability(n, k, gamma_r, eps_t)
+    tau_hi = tau_max_general(n, k, r, gamma_r, alpha, delta, eps_t)
     _check_secrecy(n, gamma_e, eps_s)
     cap = _capture_share(d0)
-    denom = gamma_r * geometry_integrals(alpha, delta).hop_sum * (0.5 + r) ** alpha
-    exponent = _root(_survival_target(k, eps_t, region_sums(n, k, r)), n - 1, denom)
-    return _tolerance(exponent, _eaves_level(gamma_e, d0, alpha, delta), eps_s, cap)
+    return _tolerance(n, tau_hi, _eaves_level(gamma_e, d0, alpha, delta), eps_s, cap)

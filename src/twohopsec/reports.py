@@ -73,28 +73,16 @@ def evaluate_bounds(
         bound_s = bgen.secrecy_bound_general(
             p.n, p.m, p.gamma_e, p.tau, p.d0, p.alpha, p.delta
         )
-    else:
-        bound_t = beq.transmission_bound_equal(p.n, p.k, p.gamma_r, p.tau)
-        bound_s = beq.secrecy_bound_equal(p.n, p.m, p.gamma_e, p.tau)
-    if p.n == 1:
-        # a lone relay has no one to jam it: tau tunes neither bound, so there
-        # is no window to find and no tolerance to trade against it
-        beq._check_eps(eps_t, "eps_t")
-        beq._check_eps(eps_s, "eps_s")
-        tau_lo = tau_hi = tolerance = None
-    elif p.is_general:
         tau_hi = bgen.tau_max_general(p.n, p.k, p.r, p.gamma_r, p.alpha, p.delta, eps_t)
-        tau_lo = (
-            bgen.tau_min_general(p.n, p.m, p.gamma_e, p.d0, p.alpha, p.delta, eps_s)
-            if p.m >= 1
-            else 0.0
-        )
+        tau_lo = bgen.tau_min_general(p.n, p.m, p.gamma_e, p.d0, p.alpha, p.delta, eps_s)
         tolerance = bgen.max_eaves_general(
             p.n, p.k, p.r, p.gamma_r, p.gamma_e, p.d0, p.alpha, p.delta, eps_t, eps_s
         )
     else:
+        bound_t = beq.transmission_bound_equal(p.n, p.k, p.gamma_r, p.tau)
+        bound_s = beq.secrecy_bound_equal(p.n, p.m, p.gamma_e, p.tau)
         tau_hi = beq.tau_max_equal(p.n, p.k, p.gamma_r, eps_t)
-        tau_lo = beq.tau_min_equal(p.n, p.m, p.gamma_e, eps_s) if p.m >= 1 else 0.0
+        tau_lo = beq.tau_min_equal(p.n, p.m, p.gamma_e, eps_s)
         tolerance = beq.max_eaves_equal(p.n, p.k, p.gamma_r, p.gamma_e, eps_t, eps_s)
     window = TauWindow(tau_min=tau_lo, tau_max=tau_hi)
     return BoundReport(

@@ -104,9 +104,11 @@ class TestTauMax:
         tight = tau_max_equal(5, 1, 1.0, 0.19)
         assert loose > 10 * tight
 
-    def test_n1_rejected(self):
-        with pytest.raises(ValueError):
-            tau_max_equal(1, 1, 1.0, 0.19)
+    def test_n1_has_no_threshold(self):
+        # a lone relay has no one to jam it: tau tunes no bound
+        assert tau_max_equal(1, 1, 1.0, 0.19) is None
+        with pytest.raises(ValueError, match="eps_t"):
+            tau_max_equal(1, 1, 1.0, 1.0)
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
@@ -127,9 +129,16 @@ class TestTauMin:
     def test_loose_target_needs_no_jamming(self):
         assert tau_min_equal(5, 1, math.e - 1, 1 - 1e-14) == pytest.approx(0.0, abs=1e-6)
 
-    def test_n1_rejected(self):
-        with pytest.raises(ValueError):
-            tau_min_equal(1, 1, 1.0, 0.19)
+    def test_n1_has_no_threshold(self):
+        assert tau_min_equal(1, 1, 1.0, 0.19) is None
+        assert tau_min_equal(1, 0, 1.0, 0.19) is None
+        with pytest.raises(ValueError, match="eps_s"):
+            tau_min_equal(1, 1, 1.0, 0.0)
+
+    def test_no_eavesdropper_needs_no_jamming(self):
+        assert tau_min_equal(5, 0, 1.0, 0.19) == 0.0
+        with pytest.raises(ValueError, match="eps_s"):
+            tau_min_equal(5, 0, 1.0, 1.0)
 
 
 class TestMaxEaves:
@@ -140,6 +149,19 @@ class TestMaxEaves:
 
     def test_infeasible_reliability(self):
         assert max_eaves_equal(5, 2, 1.0, 1.0, 0.19, 0.19) is None
+
+    def test_n1_has_no_tolerance(self):
+        assert max_eaves_equal(1, 1, 1.0, 1.0, 0.19, 0.19) is None
+        with pytest.raises(ValueError, match="eps_s"):
+            max_eaves_equal(1, 1, 1.0, 1.0, 0.19, 1.0)
+
+    def test_is_the_budget_at_the_relaxed_jammer_count(self):
+        # the exponent (n-1)*tau_max stands in for (n-1)(1-e^-tau_max)
+        n, ge, eps_s = 5, math.e - 1, 0.19
+        tau_hi = tau_max_equal(n, 1, 1.0, 0.19)
+        y = 1 - math.sqrt(1 - eps_s)
+        tol = max_eaves_equal(n, 1, 1.0, ge, 0.19, eps_s)
+        assert tol.bound == pytest.approx(y * (1 + ge) ** ((n - 1) * tau_hi), rel=1e-14)
 
     def test_growing_gamma_e_unbounded_trend(self):
         small = max_eaves_equal(5, 1, 1.0, 1.0, 0.19, 0.19).bound

@@ -421,6 +421,30 @@ class TestMaxEavesGeneral:
     def test_infeasible_propagates(self):
         assert max_eaves_general(5, 2, 0.0, 1.0, 1.0, 0.05, ALPHA, DELTA, 0.3, 0.3) is None
 
+    def test_n1_has_no_window_and_no_tolerance(self):
+        # a lone relay has no one to jam it: tau tunes neither bound
+        assert tau_max_general(1, 1, 0.3, 1.0, ALPHA, DELTA, 0.19) is None
+        assert tau_min_general(1, 1, 1.0, 0.05, ALPHA, DELTA, 0.19) is None
+        assert tau_min_general(1, 0, 1.0, 0.05, ALPHA, DELTA, 0.19) is None
+        assert max_eaves_general(1, 1, 0.3, 1.0, 1.0, 0.05, ALPHA, DELTA, 0.19, 0.19) is None
+        # the targets are still checked
+        with pytest.raises(ValueError, match="eps_t"):
+            tau_max_general(1, 1, 0.3, 1.0, ALPHA, DELTA, 0.0)
+        with pytest.raises(ValueError, match="eps_s"):
+            max_eaves_general(1, 1, 0.3, 1.0, 1.0, 0.05, ALPHA, DELTA, 0.19, 1.0)
+
+    def test_no_eavesdropper_needs_no_jamming(self):
+        assert tau_min_general(5, 0, 1.0, 0.05, ALPHA, DELTA, 0.19) == 0.0
+
+    def test_is_the_budget_at_the_relaxed_jammer_count(self):
+        n, k, r, ge, d0, eps_t, eps_s = 10, 1, 0.3, 1.0, 0.05, 0.3, 0.3
+        tau_hi = tau_max_general(n, k, r, 1.0, ALPHA, DELTA, eps_t)
+        cap = math.pi * d0 * d0
+        omega = (1 / (1 + ge * GEO.corner * d0**ALPHA)) ** ((n - 1) * tau_hi)
+        tol = max_eaves_general(n, k, r, 1.0, ge, d0, ALPHA, DELTA, eps_t, eps_s)
+        y = 1 - math.sqrt(1 - eps_s)
+        assert tol.bound == pytest.approx(y / (cap + (1 - cap) * omega), rel=1e-14)
+
 
 @pytest.mark.parametrize("bound, args", [
     (max_eaves_equal, (5, 0, 1.0, 1.0, 0.19, 0.19)),

@@ -552,8 +552,9 @@ class TestLargeAndLimitInputs:
         assert max_m("572", "0.001", "59") == "2.4968588525115406e+307"
         assert max_m("600", "0.001", "59") == "inf"
         # a nonzero subnormal factor 2^-exponent whose quotient passes the largest float;
-        # the exponent is sqrt((n-1) * -log(target) / (2 gamma_r)), target 0.9 at k = 1
-        exponent = math.sqrt(571 * -math.log(0.9) / (2 * 2.728e-5))
+        # the exponent is (n-1) * tau_max = (n-1) * sqrt(-log(target) / (2 gamma_r (n-1))),
+        # target 0.9 at k = 1
+        exponent = 571 * math.sqrt(-math.log(0.9) / (2 * 2.728e-5 * 571))
         assert 0.0 < 0.5**exponent < 2.2250738585072014e-308
         assert max_eaves_equal(572, 1, 2.728e-5, 1.0, 0.19, 0.19) == EavesTolerance(
             bound=math.inf, count=None)

@@ -95,7 +95,8 @@ def _check_point(n: int, gamma: float, tau: float, name: str) -> None:
 
 
 def _secrecy_budget(eps_s: float) -> float:
-    return 1.0 - math.sqrt(1.0 - eps_s)
+    """1 - sqrt(1 - eps_s), rationalized so that a small eps_s does not cancel."""
+    return eps_s / (1.0 + math.sqrt(1.0 - eps_s))
 
 
 def _interception(m: int, level: float, J: float, cap: float = 0.0) -> SaturatingBound:
@@ -127,21 +128,21 @@ def _tau_min(n: int, m: int, level: float, eps_s: float, cap: float = 0.0):
     budget = _secrecy_budget(eps_s) / m - cap
     if budget <= 0.0 or level == 0.0:
         return None
-    bracket = 1.0 + math.log(budget / (1.0 - cap)) / ((n - 1) * math.log1p(level))
-    if bracket <= 0.0:
+    x = math.log(budget / (1.0 - cap)) / ((n - 1) * math.log1p(level))
+    if x <= -1.0:
         return None
-    return -math.log(bracket)
+    return -math.log1p(x)
 
 
-def _root(target: float | None, denom: float):
-    """sqrt(-log(target) / denom), the largest admissible tau.
+def _root(log_target: float, denom: float):
+    """sqrt(-log_target / denom), the largest admissible tau.
 
-    ``target`` is the smallest survival level the reliability requirement
-    admits, always positive; ``None`` or >= 1 means no threshold meets it.
+    ``log_target`` is the log of the smallest survival level the reliability
+    requirement admits; >= 0 means no threshold meets it.
     """
-    if target is None or target >= 1.0:
+    if log_target >= 0.0:
         return None
-    return math.sqrt(-math.log(target) / denom)
+    return math.sqrt(-log_target / denom)
 
 
 def _tolerance(n: int, tau_max: float | None, level: float, eps_s: float, cap: float = 0.0):
@@ -182,10 +183,15 @@ def secrecy_bound_equal(n: int, m: int, gamma_e: float, tau: float) -> Saturatin
     return _interception(m, gamma_e, (n - 1) * (-math.expm1(-tau)))
 
 
-def _reliability_bracket(k: int, eps_t: float) -> float:
-    """[C(k, floor(k/2)) * (1 + k*sqrt(1-eps_t))]^(1/k) - 1, in log space."""
+def _log_reliability_target(k: int, eps_t: float) -> float:
+    """log of [C(k, floor(k/2)) * (1 + k*sqrt(1-eps_t))]^(1/k) - 1, the root formed in log space.
+
+    At k = 1 the bracket is sqrt(1 - eps_t), whose log is log1p(-eps_t) / 2.
+    """
+    if k == 1:
+        return 0.5 * math.log1p(-eps_t)
     log_c = math.lgamma(k + 1) - math.lgamma(k // 2 + 1) - math.lgamma(k - k // 2 + 1)
-    return math.expm1((log_c + math.log1p(k * math.sqrt(1.0 - eps_t))) / k)
+    return math.log(math.expm1((log_c + math.log1p(k * math.sqrt(1.0 - eps_t))) / k))
 
 
 def tau_max_equal(n: int, k: int, gamma_r: float, eps_t: float):
@@ -198,7 +204,7 @@ def tau_max_equal(n: int, k: int, gamma_r: float, eps_t: float):
     _check_reliability(n, k, gamma_r, eps_t)
     if n == 1:
         return None
-    return _root(_reliability_bracket(k, eps_t), 2.0 * gamma_r * (n - 1))
+    return _root(_log_reliability_target(k, eps_t), 2.0 * gamma_r * (n - 1))
 
 
 def tau_min_equal(n: int, m: int, gamma_e: float, eps_s: float):

@@ -328,10 +328,11 @@ def tau_max_general(
     above k.  Finite, or ``None`` when no threshold meets it or n = 1.
     """
     _check_reliability(n, k, gamma_r, eps_t)
-    if n == 1:
+    target = _survival_target(k, eps_t, region_sums(n, k, r))
+    if n == 1 or target is None:
         return None
     denom = gamma_r * (n - 1) * geometry_integrals(alpha, delta).hop_sum * (0.5 + r) ** alpha
-    return _root(_survival_target(k, eps_t, region_sums(n, k, r)), denom)
+    return _root(math.log(target), denom)
 
 
 def tau_min_general(

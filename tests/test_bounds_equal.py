@@ -169,6 +169,59 @@ class TestMaxEaves:
         assert huge > 1e4 * small
 
 
+def mp_tau_max(n, gamma_r, eps_t):
+    """k = 1: sqrt(-log(sqrt(1 - eps_t)) / (2 gamma_r (n-1))) at the float inputs."""
+    return mp.sqrt(-mp.log(mp.sqrt(1 - mp.mpf(eps_t))) / (2 * mp.mpf(gamma_r) * (n - 1)))
+
+
+def mp_budget(eps_s):
+    return 1 - mp.sqrt(1 - mp.mpf(eps_s))
+
+
+class TestAgainstHighPrecision:
+    """The window and tolerance at targets where a naive float form loses digits.
+
+    The references evaluate the same closed forms at 60 digits from the same
+    float inputs.  Each case failed at 1e-10 while tau_min took log(1 + x),
+    the k = 1 root took the log of sqrt(1 - eps_t), or the secrecy budget
+    was formed as 1 - sqrt(1 - eps_s).
+    """
+
+    REL = 1e-10
+
+    def test_tau_min_near_the_loosest_target(self):
+        # tau_min ~ 5.4e-13 here: -log(1 + x) kept only 4 digits of it
+        n, gamma_e, eps_s = 10**5, 1e8, 1 - 1e-12
+        with mp.workdps(60):
+            x = mp.log(mp_budget(eps_s)) / ((n - 1) * mp.log(1 + mp.mpf(gamma_e)))
+            want = -mp.log(1 + x)
+        assert tau_min_equal(n, 1, gamma_e, eps_s) == pytest.approx(float(want), rel=self.REL, abs=0.0)
+
+    @pytest.mark.parametrize("eps_t", [1e-6, 1e-9, 1e-12, 1e-15])
+    def test_k1_tau_max_at_tight_targets(self, eps_t):
+        with mp.workdps(60):
+            want = mp_tau_max(5, 1.0, eps_t)
+        assert tau_max_equal(5, 1, 1.0, eps_t) == pytest.approx(float(want), rel=self.REL, abs=0.0)
+
+    def test_tolerance_at_a_tight_reliability_target(self):
+        # the exponent (n-1)*tau_max is ~1e6 here, so an error in tau_max is
+        # multiplied by ~1e6 * log(1 + gamma_e) in the tolerance
+        n, gamma_r, gamma_e, eps_t, eps_s = 100, 1e-12, 1e8, 1e-12, 0.19
+        with mp.workdps(60):
+            want = mp_budget(eps_s) * (1 + mp.mpf(gamma_e)) ** ((n - 1) * mp_tau_max(
+                n, gamma_r, eps_t))
+        got = max_eaves_equal(n, 1, gamma_r, gamma_e, eps_t, eps_s).bound
+        assert got == pytest.approx(float(want), rel=self.REL, abs=0.0)
+
+    @pytest.mark.parametrize("eps_s", [1e-9, 1e-12, 1e-15, 5e-324])
+    def test_tolerance_at_tight_secrecy_targets(self, eps_s):
+        n, gamma_e = 5, math.e - 1
+        with mp.workdps(60):
+            want = mp_budget(eps_s) * (1 + mp.mpf(gamma_e)) ** ((n - 1) * mp_tau_max(n, 1.0, 0.19))
+        got = max_eaves_equal(n, 1, 1.0, gamma_e, 0.19, eps_s).bound
+        assert got == pytest.approx(float(want), rel=self.REL, abs=0.0)
+
+
 FEASIBLE_GRID = [
     (n, k, gr, ge, eps_t, eps_s, m)
     for n in (2, 3, 5, 10)

@@ -446,6 +446,34 @@ class TestMaxEavesGeneral:
         assert tol.bound == pytest.approx(y / (cap + (1 - cap) * omega), rel=1e-14)
 
 
+@pytest.mark.parametrize("eps_s", [1e-9, 1e-12, 1e-15])
+def test_window_and_tolerance_against_high_precision(eps_s):
+    """tau_min and the tolerance at tight secrecy targets, against 60 digits.
+
+    The quadrature values and the region masses are taken as the floats the
+    code uses; the rest is evaluated in mpmath from the same float inputs.
+    The budget 1 - sqrt(1 - eps_s) formed as written was 8e-8 off at
+    eps_s = 1e-9 and 11% off at 1e-15.
+    """
+    n, k, r, gamma_r, gamma_e, d0, eps_t = 50, 1, 0.3, 1.0, 1e16, 1e-8, 0.3
+    with mp.workdps(60):
+        y = 1 - mp.sqrt(1 - mp.mpf(eps_s))
+        cap = mp.pi * mp.mpf(d0) ** 2
+        level = mp.mpf(gamma_e) * mp.mpf(GEO.corner) * mp.mpf(d0) ** ALPHA
+        x = mp.log((y - cap) / (1 - cap)) / ((n - 1) * mp.log(1 + level))
+        tau_lo = -mp.log(1 + x)
+        s1, s2 = (mp.mpf(v) for v in region_sums(n, k, r))
+        c = 1 - mp.mpf(eps_t)
+        target = 2 * c * k * k / (mp.sqrt((k * k * s1) ** 2 + 4 * c * k * k * s2) + k * k * s1)
+        denom = mp.mpf(gamma_r) * (n - 1) * mp.mpf(GEO.hop_sum) * (0.5 + mp.mpf(r)) ** ALPHA
+        tau_hi = mp.sqrt(-mp.log(target) / denom)
+        tol = y / (cap + (1 - cap) * (1 / (1 + level)) ** ((n - 1) * tau_hi))
+    assert tau_min_general(n, 1, gamma_e, d0, ALPHA, DELTA, eps_s) == pytest.approx(
+        float(tau_lo), rel=1e-10, abs=0.0)
+    got = max_eaves_general(n, k, r, gamma_r, gamma_e, d0, ALPHA, DELTA, eps_t, eps_s)
+    assert got.bound == pytest.approx(float(tol), rel=1e-10, abs=0.0)
+
+
 @pytest.mark.parametrize("bound, args", [
     (max_eaves_equal, (5, 0, 1.0, 1.0, 0.19, 0.19)),
     (max_eaves_equal, (5, 9, 1.0, 1.0, 0.19, 0.19)),

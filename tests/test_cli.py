@@ -548,8 +548,8 @@ class TestLargeAndLimitInputs:
             return read_rows(out)[1][0]["max_m"]
 
         # (1 + gamma_e) ** exponent passes the largest float here, the tolerance does not;
-        # a 50-digit Decimal gives 2.4968588525115342e307
-        assert max_m("572", "0.001", "59") == "2.4968588525115406e+307"
+        # 60-digit mpmath at the same float inputs gives 2.49685885251188156e307
+        assert max_m("572", "0.001", "59") == "2.496858852511831e+307"
         assert max_m("600", "0.001", "59") == "inf"
         # a nonzero subnormal factor 2^-exponent whose quotient passes the largest float;
         # the exponent is (n-1) * tau_max = (n-1) * sqrt(-log(target) / (2 gamma_r (n-1))),

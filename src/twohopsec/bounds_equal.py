@@ -142,6 +142,8 @@ def _root(log_target: float, denom: float):
     """
     if log_target >= 0.0:
         return None
+    if not denom > 0.0:  # 0 by underflow, or 0 * inf
+        raise FloatingPointError("the tau_max denominator underflows")
     return math.sqrt(-log_target / denom)
 
 
@@ -246,7 +248,9 @@ def transmission_bound_equal_binomial_jammers(
         return transmission_bound_equal(n, k, gamma_r, tau)
     j = np.arange(n)
     w = _binom_pmf(n - 1, j, math.log(-math.expm1(-tau)), -tau)
-    q_tilde = float(np.dot(w, topk_random_cdf(gamma_r * j * tau, k, n)))
+    with np.errstate(over="ignore"):  # the CDF is exactly 1 long before 1e300
+        level = np.minimum(gamma_r * j * tau, 1e300)
+    q_tilde = float(np.dot(w, topk_random_cdf(level, k, n)))
     return 2.0 * q_tilde - q_tilde * q_tilde
 
 

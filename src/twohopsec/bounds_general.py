@@ -196,6 +196,14 @@ def disc_square_overlap(r: float) -> float:
     return math.pi * r * r - 4.0 * segment
 
 
+def _hop_loss(r: float, alpha: float) -> float:
+    """(0.5 + r)^alpha, the loss factor of the longest hop to a region relay, or inf."""
+    try:
+        return (0.5 + r) ** alpha
+    except OverflowError:
+        return math.inf
+
+
 def channel_survival_base(n: int, gamma_r: float, tau: float, r: float, alpha: float) -> float:
     """Per-unit-integral survival factor of a legitimate channel under jamming.
 
@@ -209,13 +217,12 @@ def channel_survival_base(n: int, gamma_r: float, tau: float, r: float, alpha: f
         raise ValueError("require tau >= 0, gamma_r > 0, r >= 0")
     if tau == 0.0 or n == 1:
         return 1.0
-    if math.isinf(r):
+    reach = _hop_loss(r, alpha)
+    if math.isinf(reach):
         # 0 for every tau > 0; the product below would take 0 * inf once
         # tau * (1 - e^-tau) underflows
         return 0.0
-    return math.exp(
-        -gamma_r * tau * (n - 1) * (-math.expm1(-tau)) * (0.5 + r) ** alpha
-    )
+    return math.exp(-gamma_r * tau * (n - 1) * (-math.expm1(-tau)) * reach)
 
 
 def _binom_sums(n: int, k: int, p: float):
@@ -268,7 +275,10 @@ def transmission_bound_general(
 
 def _eaves_level(gamma_e: float, d0: float, alpha: float, delta: float) -> float:
     """gamma_e * psi * d0^alpha, the per-jammer level at a corner eavesdropper."""
-    return gamma_e * geometry_integrals(alpha, delta).corner * d0**alpha
+    attenuation = d0**alpha  # 0 at d0 = 0, also where gamma_e * psi is inf
+    if attenuation == 0.0:
+        return 0.0
+    return gamma_e * geometry_integrals(alpha, delta).corner * attenuation
 
 
 def _capture_share(d0: float) -> float:
@@ -331,7 +341,7 @@ def tau_max_general(
     target = _survival_target(k, eps_t, region_sums(n, k, r))
     if n == 1 or target is None:
         return None
-    denom = gamma_r * (n - 1) * geometry_integrals(alpha, delta).hop_sum * (0.5 + r) ** alpha
+    denom = gamma_r * (n - 1) * geometry_integrals(alpha, delta).hop_sum * _hop_loss(r, alpha)
     return _root(math.log(target), denom)
 
 

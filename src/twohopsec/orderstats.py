@@ -97,11 +97,13 @@ def _binom_tail(x: np.ndarray, lo: int, n: int) -> np.ndarray:
 
     Exploits log(1-p) = -2x exactly.  Terms are nonnegative, so a plain
     float64 reduction over at most n+1 terms keeps relative error ~ n*eps.
+    x is clamped at 1e300 (the tail is exactly 1 from x ~ 400), so -2x stays finite.
     """
+    log_q = -2.0 * np.minimum(x, 1e300)
     with np.errstate(divide="ignore"):
-        log_p = np.log(-np.expm1(-2.0 * x))  # -inf at x = 0 is fine: exp -> 0
+        log_p = np.log(-np.expm1(log_q))  # -inf at x = 0 is fine: exp -> 0
     i = np.arange(lo, n + 1).reshape((-1,) + (1,) * x.ndim)
-    return np.add.reduce(_binom_pmf(n, i, log_p, -2.0 * x), axis=0)
+    return np.add.reduce(_binom_pmf(n, i, log_p, log_q), axis=0)
 
 
 def kth_largest_cdf(x, j: int, n: int):

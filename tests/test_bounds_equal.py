@@ -325,6 +325,13 @@ class TestBinomialJammerDiagnostics:
     def test_no_overflow_past_a_thousand_relays(self):
         assert 0.0 <= transmission_bound_equal_binomial_jammers(1500, 3, 1.0, 0.2) <= 1.0
 
+    def test_a_jamming_level_past_the_float_range_is_certain_outage(self):
+        # gamma_r * j * tau overflowed with a RuntimeWarning, and the top-k CDF
+        # then rejected the infinite argument; one jammer is certain failure
+        q = -math.expm1(-2.0)  # P(the other relay jams)
+        got = transmission_bound_equal_binomial_jammers(2, 1, 1.7976931348623157e308, 2.0)
+        assert got == pytest.approx(2 * q - q * q, rel=1e-15)
+
 
 @pytest.mark.parametrize("bound, args", [
     (transmission_bound_equal, (5, 1, -1.0, 0.3)),

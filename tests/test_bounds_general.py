@@ -134,6 +134,18 @@ class TestSurvivalBase:
         assert channel_survival_base(5, 1.0, tau, math.inf, 2.0) == 0.0
         assert transmission_bound_general(5, 1, math.inf, 1.0, tau, ALPHA, DELTA) == 1.0
 
+    def test_radius_past_the_float_range(self):
+        # (0.5 + r)^alpha overflowed with OverflowError; it reads as r = inf now
+        assert channel_survival_base(5, 1.0, 0.5, 1e300, 2.0) == 0.0
+        assert transmission_bound_general(5, 1, 1e300, 1.0, 0.5, ALPHA, DELTA) == 1.0
+        assert tau_max_general(5, 5, 1e300, 1.0, ALPHA, DELTA, 0.19) == 0.0
+
+    def test_an_underflowing_tau_max_denominator_raises(self):
+        # gamma_r * (n-1) * (phi1+phi2) * (0.5+r)^alpha rounds to 0 here, and the
+        # root used to raise ZeroDivisionError, which the CLI does not catch
+        with pytest.raises(FloatingPointError, match="underflows"):
+            tau_max_general(2, 1, 1.0, 5e-324, 2.0, 2.0, 1e-15)
+
     def test_a_nan_bound_raises(self, monkeypatch):
         monkeypatch.setattr(bounds_general, "channel_survival_base", lambda *args: math.nan)
         with pytest.raises(FloatingPointError, match="NaN"):
@@ -338,6 +350,17 @@ class TestTauWindowsGeneral:
 
     def test_tau_min_d0_zero_surfaced_infeasible(self):
         assert tau_min_general(5, 1, 1.0, 0.0, ALPHA, DELTA, 0.19) is None
+
+    def test_zero_capture_radius_at_an_overflowing_level(self):
+        # gamma_e * psi overflows to inf and d0^alpha is 0: the level used to be
+        # inf * 0 = NaN, and `bounds --case general --d0 0 --alpha 40 --gamma-e 1e300`
+        # printed bound_s = nan and tau_min = nan
+        ge, d0, alpha, delta = 1e300, 0.0, 40.0, 0.001
+        assert bounds_general._eaves_level(ge, d0, alpha, delta) == 0.0
+        assert secrecy_bound_general(10, 1, ge, 0.2, d0, alpha, delta).value == 1.0
+        assert tau_min_general(10, 1, ge, d0, alpha, delta, 0.19) is None
+        tol = max_eaves_general(10, 1, 0.4, 1.0, ge, d0, alpha, delta, 0.19, 0.19)
+        assert tol.bound == pytest.approx(0.1, rel=1e-15)
 
     def test_tau_min_budget_exhausted_by_capture(self):
         assert tau_min_general(5, 50, 1.0, 0.05, ALPHA, DELTA, 0.19) is None

@@ -125,6 +125,14 @@ class TestTopkRandom:
         with pytest.raises(ValueError):
             topk_random_cdf(0.3, 6, 5)
 
+    @pytest.mark.parametrize("x", [400.0, 1e300, 9e307, np.finfo(float).max])
+    def test_is_one_up_to_the_largest_float(self, x):
+        # past x = 8.99e307, -2x overflowed and the mass at l = n took 0 * -inf:
+        # `bounds --n 181543 --k 3 --tau 1e300 --gamma-r 498` printed bound_t = nan
+        assert topk_random_cdf(x, 3, 181543) == 1.0
+        assert kth_largest_cdf(x, 1, 7) == 1.0
+        assert np.array_equal(topk_random_cdf(np.array([x, 0.0]), 2, 9), [1.0, 0.0])
+
     def test_sampling_agreement(self):
         rng = np.random.default_rng(7)
         draws = sample_topk_random(5, 2, rng, size=100_000)

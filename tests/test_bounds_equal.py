@@ -195,7 +195,8 @@ class TestAgainstHighPrecision:
         with mp.workdps(60):
             x = mp.log(mp_budget(eps_s)) / ((n - 1) * mp.log(1 + mp.mpf(gamma_e)))
             want = -mp.log(1 + x)
-        assert tau_min_equal(n, 1, gamma_e, eps_s) == pytest.approx(float(want), rel=self.REL, abs=0.0)
+        got = tau_min_equal(n, 1, gamma_e, eps_s)
+        assert got == pytest.approx(float(want), rel=self.REL, abs=0.0)
 
     @pytest.mark.parametrize("eps_t", [1e-6, 1e-9, 1e-12, 1e-15])
     def test_k1_tau_max_at_tight_targets(self, eps_t):

@@ -9,7 +9,14 @@ closed-form transmission/secrecy outage bounds, and cross-checks the two.
 """
 
 from .model import Case, ProtocolParams
-from .montecarlo import compare, estimate
 from .reports import evaluate_bounds
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # the simulator, and with it NumPy, on first use
+    if name not in ("compare", "estimate"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import montecarlo
+
+    return getattr(montecarlo, name)

@@ -15,9 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .orderstats import _binom_pmf, topk_random_cdf
+from .orderstats import _binom_masses, topk_random_cdf
 
 __all__ = [
     "SaturatingBound",
@@ -171,7 +169,7 @@ def transmission_bound_equal(n: int, k: int, gamma_r: float, tau: float) -> floa
     level = 0.0 if n == 1 else gamma_r * (n - 1) * (-math.expm1(-tau)) * tau
     if math.isinf(level):
         return 1.0
-    q = float(topk_random_cdf(level, k, n))
+    q = topk_random_cdf(level, k, n)
     return 2.0 * q - q * q
 
 
@@ -246,11 +244,10 @@ def transmission_bound_equal_binomial_jammers(
     if tau == 0.0 or math.isinf(tau):
         # the jammer count is certain (0 or n - 1), so its mean is exact
         return transmission_bound_equal(n, k, gamma_r, tau)
-    j = np.arange(n)
-    w = _binom_pmf(n - 1, j, math.log(-math.expm1(-tau)), -tau)
-    with np.errstate(over="ignore"):  # the CDF is exactly 1 long before 1e300
-        level = np.minimum(gamma_r * j * tau, 1e300)
-    q_tilde = float(np.dot(w, topk_random_cdf(level, k, n)))
+    w = _binom_masses(n - 1, range(n), math.log(-math.expm1(-tau)), -tau)
+    # gamma_r * j * tau may pass the float range; the CDF is exactly 1 long before 1e300
+    q_tilde = math.fsum(w_j * topk_random_cdf(min(gamma_r * j * tau, 1e300), k, n)
+                        for j, w_j in enumerate(w))
     return 2.0 * q_tilde - q_tilde * q_tilde
 
 

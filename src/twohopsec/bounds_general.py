@@ -17,11 +17,12 @@ The secrecy, tau-window and tolerance algebra is shared with
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import repeat
+from operator import mul
 
 from .bounds_equal import (
     SaturatingBound,
@@ -33,7 +34,7 @@ from .bounds_equal import (
     _tau_min,
     _tolerance,
 )
-from .orderstats import _binom_pmf
+from .orderstats import _binom_masses
 
 __all__ = [
     "QuadratureError",
@@ -83,62 +84,70 @@ class GeometryIntegrals:
         return self.midpoint + self.endpoint
 
 
-# The 16-point Gauss-Legendre rule on [-1, 1], np.polynomial.legendre.leggauss(16)
-# to the bit: written out, since importing numpy.polynomial and its first LAPACK
-# call cost every process set-up time and memory.  The rule is symmetric about 0.
+# The 16-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(16)
+# to the bit, written out.  The rule is symmetric about 0.
 _GL_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
                   0.6178762444026438, 0.755404408355003, 0.8656312023878318,
                   0.9445750230732326, 0.9894009349916499)
 _GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
                     0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
                     0.062253523938647456, 0.027152459411754176)
-_GL_NODES = np.concatenate([-np.array(_GL_HALF_NODES[::-1]), _GL_HALF_NODES])
-_GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
+_GL_NODES = tuple(-x for x in _GL_HALF_NODES[::-1]) + _GL_HALF_NODES
+_GL_WEIGHTS = _GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS
+
+# (factor, width, height): phi1 = 4 I(0.5, 0.5), phi2 = 2 I(1, 0.5) and psi = I(1, 1),
+# with I(w, h) the clamped integral of dist-to-origin^-alpha over [0, w] x [0, h]
+_RECTANGLES = ((4.0, 0.5, 0.5), (2.0, 1.0, 0.5), (1.0, 1.0, 1.0))
 
 
-def _radial_profile(reach: np.ndarray, alpha: float, delta: float) -> np.ndarray:
-    """integral_0^R max(r, delta)^-alpha * r dr, exact in r."""
-    short = 0.5 * np.minimum(reach, delta) ** 2 * delta ** (-alpha)
+@functools.lru_cache(maxsize=4)
+def _nodes(panels: int) -> list:
+    """Per rectangle, the (weights, R, log R) of its nodes, sorted by R.
+
+    About the corner, each angular segment (split at the diagonal) has
+    ``panels`` equal panels of the 16-point rule; the ray at angle t leaves
+    at R = w/cos(t) or h/sin(t).  Nothing here depends on (alpha, delta).
+    """
+    tables = []
+    for _, width, height in _RECTANGLES:
+        theta_c, nodes = math.atan2(height, width), []
+        for lo, hi, reach_of in ((0.0, theta_c, lambda t: width / math.cos(t)),
+                                 (theta_c, 0.5 * math.pi, lambda t: height / math.sin(t))):
+            step = (hi - lo) / panels  # the edges of np.linspace(lo, hi, panels + 1)
+            edges = [i * step + lo for i in range(panels)] + [hi]
+            for a, b in zip(edges, edges[1:]):
+                half, mid = 0.5 * (b - a), 0.5 * (b + a)
+                nodes += [(reach_of(mid + half * x), half * w)
+                          for x, w in zip(_GL_NODES, _GL_WEIGHTS)]
+        reach, weights = zip(*sorted(nodes))
+        tables.append((weights, reach, tuple(map(math.log, reach))))
+    return tables
+
+
+def _radial_sum(table, alpha: float, delta: float) -> float:
+    """Sum over the nodes of weight * integral_0^R max(s, delta)^-alpha s ds, exact in s.
+
+    That is 0.5 R^2 delta^-alpha for the nodes with R <= delta (a prefix of
+    the table); the rest add to c0 = 0.5 delta^(2-alpha) the tail log(R/delta),
+    or (R^(2-alpha) - delta^(2-alpha))/(2-alpha) at alpha != 2.
+    """
+    weights, reach, log_reach = table
+    i = bisect.bisect_right(reach, delta)
+    near, w = delta**-alpha, weights[i:]
+    clamped = 0.5 * near * math.fsum(map(mul, weights[:i], map(mul, reach[:i], reach[:i])))
+    c0 = 0.5 * delta * delta * near
     if alpha == 2.0:
-        tail = np.log(np.maximum(reach, delta) / delta)
+        free = math.fsum(map(mul, w, log_reach[i:])) + (c0 - math.log(delta)) * math.fsum(w)
     else:
-        tail = (np.maximum(reach, delta) ** (2.0 - alpha) - delta ** (2.0 - alpha)) / (
-            2.0 - alpha
-        )
-    return short + tail
-
-
-def _panel_thetas(lo: float, hi: float, panels: int):
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    thetas = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    weights = half[:, None] * _GL_WEIGHTS[None, :]
-    return thetas.ravel(), weights.ravel()
-
-
-def _corner_rectangle_integral(
-    width: float, height: float, alpha: float, delta: float, panels: int
-) -> float:
-    """Clamped integral of dist-to-origin^-alpha over [0, width] x [0, height]."""
-    theta_c = math.atan2(height, width)
-    total = 0.0
-    for lo, hi, reach_of in (
-        (0.0, theta_c, lambda t: width / np.cos(t)),
-        (theta_c, 0.5 * math.pi, lambda t: height / np.sin(t)),
-    ):
-        if hi <= lo:
-            continue
-        thetas, weights = _panel_thetas(lo, hi, panels)
-        total += float(np.sum(weights * _radial_profile(reach_of(thetas), alpha, delta)))
-    return total
+        e = 2.0 - alpha
+        free = (math.fsum(map(mul, w, map(pow, reach[i:], repeat(e)))) / e
+                + (c0 - delta**e / e) * math.fsum(w))
+    return clamped + free
 
 
 def _evaluate_integrals(alpha: float, delta: float, panels: int):
-    phi1 = 4.0 * _corner_rectangle_integral(0.5, 0.5, alpha, delta, panels)
-    phi2 = 2.0 * _corner_rectangle_integral(1.0, 0.5, alpha, delta, panels)
-    psi = _corner_rectangle_integral(1.0, 1.0, alpha, delta, panels)
-    return phi1, phi2, psi
+    return tuple(factor * _radial_sum(table, alpha, delta)
+                 for (factor, _, _), table in zip(_RECTANGLES, _nodes(panels)))
 
 
 _REL_TOL = 1e-4  # the relative change at which the panel doubling stops
@@ -167,20 +176,12 @@ def geometry_integrals(
     prev = _evaluate_integrals(alpha, delta, panels)
     while True:
         if panels * 2 > max_resolution:
-            raise QuadratureError(
-                f"geometry integrals did not converge within {max_resolution} panels"
-            )
+            raise QuadratureError(f"geometry integrals did not converge within "
+                                  f"{max_resolution} panels")
         panels *= 2
         cur = _evaluate_integrals(alpha, delta, panels)
         if all(abs(c - p) <= _REL_TOL * abs(c) for c, p in zip(cur, prev)):
-            return GeometryIntegrals(
-                midpoint=cur[0],
-                endpoint=cur[1],
-                corner=cur[2],
-                alpha=alpha,
-                delta=delta,
-                resolution=panels,
-            )
+            return GeometryIntegrals(*cur, alpha=alpha, delta=delta, resolution=panels)
         prev = cur
 
 
@@ -231,8 +232,8 @@ def _binom_sums(n: int, k: int, p: float):
         return 0.0, 0.0
     if p == 1.0:
         return (1.0, 0.0) if k == n else (0.0, 1.0)
-    pmf = _binom_pmf(n, np.arange(n + 1), math.log(p), math.log1p(-p))
-    return float(pmf[1 : k + 1].sum()), float(pmf[k + 1 :].sum())
+    masses = _binom_masses(n, range(1, n + 1), math.log(p), math.log1p(-p))
+    return math.fsum(masses[:k]), math.fsum(masses[k:])
 
 
 @functools.lru_cache(maxsize=256, typed=True)

@@ -11,7 +11,8 @@ the exact run that produced it.  The argument parser is built once per
 process and reused by every ``main`` call.  A call that opens with a command
 name and holds only exact flags with plain values is read straight off that
 command parser's flag table; every other call goes to the top-level parser,
-so every usage line and message is argparse's own.
+so every usage line and message is argparse's own.  The simulator, and with
+it NumPy, is imported on first use: a bounds call loads neither.
 
 Exit codes: 0 success (including infeasible-but-computed results),
 2 malformed configuration, 3 numeric failure (including out of memory).
@@ -27,11 +28,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds_general import QuadratureError
 from .model import Case, ProtocolParams, derived_fields
-from .montecarlo import EstimateReport, estimate
 from .reports import BoundReport, evaluate_bounds
 
 __all__ = ["RunConfig", "SweepSpec", "CSV_HEADER", "main"]
@@ -77,6 +75,8 @@ class SweepSpec:
             raise ValueError("log-scale sweeps need positive endpoints")
 
     def values(self):
+        import numpy as np
+
         if self.steps == 1:
             grid = np.array([self.start], dtype=float)
         elif self.scale == "log":
@@ -260,7 +260,7 @@ def _cell(value) -> str:
         return value.value
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         value = float(value)
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
@@ -387,6 +387,7 @@ def _evaluate(points: list, param: str | None, with_bounds: bool, with_sim: bool
             point.error = exc
     if not with_sim:
         return
+    estimate = sys.modules[__name__].estimate  # imported here first, see __getattr__
     live = [p for p in points if p.error is None]
     grid = param in _THRESHOLDS
     for group in ([live] if grid and live else [[p] for p in live]):
@@ -564,6 +565,14 @@ def _parse_args(argv) -> argparse.Namespace:
         if message is not None:
             parser.error(message)
     return parser.parse_args(argv)
+
+
+def __getattr__(name: str):  # the simulator, and with it NumPy, on first use
+    if name != "estimate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .montecarlo import estimate
+
+    return globals().setdefault("estimate", estimate)
 
 
 def main(argv=None) -> int:

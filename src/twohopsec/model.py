@@ -13,8 +13,6 @@ import enum
 import math
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 __all__ = [
     "Case",
     "ConfigurationError",
@@ -192,6 +190,8 @@ class NetworkInstance:
         return self._m
 
     def position(self, node) -> np.ndarray:
+        import numpy as np
+
         if self.case is Case.EQUAL_PATH_LOSS:
             raise ValueError("equal-path-loss instances carry no geometry")
         kind, idx = node
@@ -210,6 +210,8 @@ class NetworkInstance:
             return 0.0
         if self.case is Case.EQUAL_PATH_LOSS:
             return 1.0
+        import numpy as np
+
         pa, pb = self.position(a), self.position(b)
         return float(np.hypot(pa[0] - pb[0], pa[1] - pb[1]))
 

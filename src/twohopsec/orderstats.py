@@ -8,16 +8,20 @@ of a relay drawn uniformly from the ``k`` best of ``n`` (the quantity that
 drives the relay-selection analysis), plus brute-force sampling oracles so
 the closed forms can be cross-checked empirically.
 
-All CDF evaluators broadcast over ``x`` and accept scalars or arrays.
-Binomial coefficients are taken in log space, from a table of log l!, so
-the rank sums stay finite for relay counts up to the thousands.
+A real ``x`` gives a float computed on ``math``; an array-like ``x`` gives
+an array from the same arithmetic on NumPy's elementwise exp, log and
+expm1.  Every binomial mass is one form, exp(log C(n, l) + l log p +
+(n - l) log(1 - p)) with log C(n, l) off a table of log l!, so no factor
+overflows at any n.  The j-th largest gain's CDF sums the masses at
+l = n, n - 1, ..., n - j + 1, so the top-k CDF forms k masses and reads
+every rank off their running sum.  Only arrays and the samplers, which
+draw from a NumPy ``Generator``, import NumPy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import numbers
 
 __all__ = [
     "min_pair_cdf",
@@ -30,80 +34,95 @@ __all__ = [
 ]
 
 
-def _validate_x(x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+def _points(x):
+    """(x, xp): a real ``x`` as a float with ``math``, an array-like one as an array with NumPy."""
+    if isinstance(x, numbers.Real):
+        x, xp = float(x), math
+    else:
+        import numpy as xp
+
+        x = xp.asarray(x, dtype=float)
+    if not (math.isfinite(x) if xp is math else xp.isfinite(x).all()):
         raise ValueError("gain argument must be finite")
-    return arr
+    return x, xp
+
+
+def _apply(cdf, x):
+    """``cdf(x, xp)`` at x > 0, clamped at 1e300 (every CDF here is exactly 1 from
+    x ~ 400); 0 at x <= 0, where arrays evaluate at x = 0 (log p = -inf)."""
+    x, xp = _points(x)
+    if xp is math:
+        return cdf(min(x, 1e300), math) if x > 0.0 else 0.0
+    with xp.errstate(divide="ignore"):
+        return cdf(xp.clip(x, 0.0, 1e300), xp)
 
 
 def _validate_rank(value: int, n: int, name: str) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(value, (int, np.integer)):
+    if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 1 <= value <= n:
         raise ValueError(f"{name} must satisfy 1 <= {name} <= n, got {name}={value}, n={n}")
 
 
-def _maybe_scalar(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
-
-
 def min_pair_cdf(x):
     """CDF of the bottleneck gain min of two unit-mean exponentials: 1 - e^{-2x}."""
-    arr = _validate_x(x)
-    out = np.where(arr > 0.0, -np.expm1(-2.0 * arr), 0.0)
-    return _maybe_scalar(out, np.isscalar(x))
+    return _apply(lambda v, xp: -xp.expm1(-2.0 * v), x)
 
 
 # log l! at index l, each entry math.lgamma(l + 1); _log_factorials grows it
 # by doubling.  An entry depends on its index only, never on the call history.
-_log_factorial_table = np.zeros(1)
+_log_factorial_table = [0.0]
 
 
-def _log_factorials(n: int) -> np.ndarray:
+def _log_factorials(n: int) -> list:
     """The table of log l!, grown first if it does not reach l = n."""
-    global _log_factorial_table
-    size = len(_log_factorial_table)
-    if n >= size:
-        new_size = size
-        while new_size <= n:
-            new_size *= 2
-        grown = np.empty(new_size)
-        grown[:size] = _log_factorial_table
-        grown[size:] = [math.lgamma(l + 1) for l in range(size, new_size)]
-        _log_factorial_table = grown
-    return _log_factorial_table
+    table = _log_factorial_table
+    size = new_size = len(table)
+    while new_size <= n:
+        new_size *= 2
+    table.extend(math.lgamma(l + 1) for l in range(size, new_size))
+    return table
 
 
-def _binom_pmf(n: int, l: np.ndarray, log_p, log_q) -> np.ndarray:
-    """Binomial(n, p) masses at the integer counts ``l``, from log p and log(1 - p).
+def _binom_masses(n: int, counts, log_p, log_q, exp=math.exp) -> list:
+    """Binomial(n, p) masses at the integer ``counts``, 0 <= l <= n, from log p and log(1 - p).
 
-    Each mass is exp(log C(n, l) + l log p + (n - l) log(1 - p)) with the
-    coefficient from the log-factorial table, so no factor overflows at any
-    n.  The table is indexed with l and n - l directly, so every count must
-    satisfy 0 <= l <= n.  ``l`` broadcasts against ``log_p`` and ``log_q``.
-    A count of 0 at p = 0, or of n at p = 1, would form 0 * -inf: callers
-    settle those p themselves.
+    With NumPy arrays of log p and log(1 - p) and ``exp=numpy.exp``, each
+    mass is an array over them.  A count of 0 at p = 0, or of n at p = 1,
+    would form 0 * -inf: callers settle those p themselves.
     """
     log_fact = _log_factorials(n)
-    log_c = log_fact[n] - log_fact[l] - log_fact[n - l]
-    return np.exp(log_c + l * log_p + (n - l) * log_q)
+    top = log_fact[n]
+    return [exp(top - log_fact[l] - log_fact[n - l] + l * log_p + (n - l) * log_q)
+            for l in counts]
 
 
-def _binom_tail(x: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """P(Binomial(n, 1 - e^{-2x}) >= lo) with log-space terms, 1 <= lo <= n.
+# (x and n, count, F_count(x), F_1(x) + ... + F_count(x)) of the last _rank_sums
+# call; it is replaced whole, so a concurrent caller at worst recomputes
+_last_ranks = (None, 0, 0.0, 0.0)
 
-    Exploits log(1-p) = -2x exactly.  Terms are nonnegative, so a plain
-    float64 reduction over at most n+1 terms keeps relative error ~ n*eps.
-    x is clamped at 1e300 (the tail is exactly 1 from x ~ 400), so -2x stays finite.
+
+def _rank_sums(x, xp, count: int, n: int) -> tuple:
+    """(F_count(x), F_1(x) + ... + F_count(x)) for F_j the CDF of the j-th largest gain.
+
+    F_j is P(Binomial(n, 1 - e^{-2x}) >= n - j + 1), with log(1 - p) = -2x
+    exactly.  The sums at the last x are kept, so a sweep over the ranks at
+    one x, as a rank mixture in ``mixture_cdf`` makes, forms one mass per rank.
     """
-    log_q = -2.0 * np.minimum(x, 1e300)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(-np.expm1(log_q))  # -inf at x = 0 is fine: exp -> 0
-    i = np.arange(lo, n + 1).reshape((-1,) + (1,) * x.ndim)
-    return np.add.reduce(_binom_pmf(n, i, log_p, log_q), axis=0)
+    global _last_ranks
+    key = (x if xp is math else x.tobytes(), n)
+    last_key, start, tail, total = _last_ranks
+    if last_key != key or start > count:
+        start, tail, total = 0, 0.0, 0.0
+    log_q = -2.0 * x
+    counts = range(n - start, n - count, -1)
+    for mass in _binom_masses(n, counts, xp.log(-xp.expm1(log_q)), log_q, xp.exp):
+        tail = tail + mass
+        total = total + tail
+    _last_ranks = (key, count, tail, total)
+    return tail, total
 
 
 def kth_largest_cdf(x, j: int, n: int):
@@ -113,9 +132,7 @@ def kth_largest_cdf(x, j: int, n: int):
     for j = n it collapses to the minimum, 1 - e^{-2nx}.
     """
     _validate_rank(j, n, "j")
-    arr = _validate_x(x)
-    out = np.where(arr > 0.0, _binom_tail(np.maximum(arr, 0.0), n - j + 1, n), 0.0)
-    return _maybe_scalar(out, np.isscalar(x))
+    return _apply(lambda v, xp: _rank_sums(v, xp, j, n)[0], x)
 
 
 def topk_random_cdf(x, k: int, n: int):
@@ -125,13 +142,7 @@ def topk_random_cdf(x, k: int, n: int):
     the j-th-largest CDFs; k = 1 recovers the maximum, k = n the parent.
     """
     _validate_rank(k, n, "k")
-    arr = _validate_x(x)
-    pos = np.maximum(arr, 0.0)
-    acc = np.zeros_like(pos)
-    for j in range(1, k + 1):
-        acc += _binom_tail(pos, n - j + 1, n)
-    out = np.where(arr > 0.0, acc / k, 0.0)
-    return _maybe_scalar(out, np.isscalar(x))
+    return _apply(lambda v, xp: _rank_sums(v, xp, k, n)[1] / k, x)
 
 
 def mixture_cdf(component_cdfs, x):
@@ -143,15 +154,14 @@ def mixture_cdf(component_cdfs, x):
     cdfs = list(component_cdfs)
     if not cdfs:
         raise ValueError("mixture requires at least one component CDF")
-    arr = _validate_x(x)
-    acc = np.zeros_like(arr, dtype=float)
+    x, xp = _points(x)
+    acc = 0.0
     for f in cdfs:
-        acc = acc + np.asarray(f(arr), dtype=float)
-    out = acc / len(cdfs)
-    return _maybe_scalar(out, np.isscalar(x))
+        acc = acc + (float(f(x)) if xp is math else xp.asarray(f(x), dtype=float))
+    return acc / len(cdfs)
 
 
-def sample_min_pair(rng: np.random.Generator, size=None):
+def sample_min_pair(rng, size=None):
     """Brute-force bottleneck-gain draws: elementwise min of two Exp(1) draws."""
     shape = () if size is None else (size,)
     draws = rng.standard_exponential(shape + (2,))
@@ -159,7 +169,7 @@ def sample_min_pair(rng: np.random.Generator, size=None):
     return float(out) if size is None else out
 
 
-def sample_kth_largest(n: int, j: int, rng: np.random.Generator, size=None):
+def sample_kth_largest(n: int, j: int, rng, size=None):
     """Brute-force draws of the j-th largest of n bottleneck gains."""
     _validate_rank(j, n, "j")
     b = 1 if size is None else size
@@ -169,7 +179,7 @@ def sample_kth_largest(n: int, j: int, rng: np.random.Generator, size=None):
     return float(out[0]) if size is None else out
 
 
-def sample_topk_random(n: int, k: int, rng: np.random.Generator, size=None):
+def sample_topk_random(n: int, k: int, rng, size=None):
     """Sampling oracle for the top-k uniform selection.
 
     Draws n independent bottleneck gains (each the min of two unit-mean
@@ -177,6 +187,8 @@ def sample_topk_random(n: int, k: int, rng: np.random.Generator, size=None):
     then returns the gain of a uniformly chosen relay among the k largest.
     Gains are consumed from ``rng`` first, the selection index second.
     """
+    import numpy as np
+
     _validate_rank(k, n, "k")
     b = 1 if size is None else size
     gains = rng.standard_exponential((b, n, 2)).min(axis=-1)

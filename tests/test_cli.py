@@ -772,6 +772,29 @@ class TestSetupImports:
     def test_bounds_and_simulate_load_no_optional_module(self):
         assert self.loaded([["bounds"], ["simulate", "--trials", "200"]]) == []
 
+    def test_bounds_calls_load_neither_numpy_nor_the_simulator(self):
+        argvs = [[command, "--case", case, *report]
+                 for command in ("bounds", "tau-range", "max-eaves")
+                 for case in ("equal", "general") for report in ([], ["--report"])]
+        script = (
+            "import contextlib, io, sys\n"
+            "import twohopsec\n"
+            "print('numpy' in sys.modules)\n"
+            "from twohopsec import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
+            "assert codes == [0] * len(codes), codes\n"
+            "print([m for m in ('numpy', 'twohopsec.montecarlo') if m in sys.modules])\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = cli.main(['simulate', '--trials', '200'])\n"
+            "print(code, out.getvalue().splitlines()[-1].split(',')[11:13])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.splitlines() == ["False", "[]", "0 ['200', '1']"]
+
     def test_config_run_loads_yaml(self, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("n: 6\n")

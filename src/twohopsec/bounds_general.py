@@ -309,19 +309,27 @@ def secrecy_bound_general(
     return _interception(m, level, (n - 1) * (-math.expm1(-tau)), cap)
 
 
-def _survival_target(k: int, eps_t: float, sums) -> float | None:
-    """Smallest admissible value of U^(phi1+phi2); None when no region relay exists.
+def _log_survival_target(k: int, eps_t: float, sums, empty: float) -> float | None:
+    """log of the smallest admissible U^(phi1+phi2); None when no region relay exists.
 
-    ``sums`` is ``region_sums(n, k, r)``; nu1 and nu2 are its k^2-scaled
-    masses.  The positive root of (nu2/k^2) x^2 + nu1 x = (1-eps_t) k^2 is
-    rationalized, so a tiny nu2 does not cancel it and nu2 = 0 needs no branch.
+    ``sums`` is ``region_sums(n, k, r)``, nu1 and nu2 its k^2-scaled masses,
+    and ``empty`` = P(L = 0).  The target x, the positive root of
+    (nu2/k^2) x^2 + nu1 x = c k^2 with c = 1 - eps_t, is rationalized as
+    2 c k^2 / R, R = hypot(nu1, 2 sqrt(c nu2)) + nu1, so a tiny nu2 does not
+    cancel it.  From x = 0.5 up its log is log1p(x - 1), rationalized again:
+    x - 1 = 4 c k^2 (k^2 (empty - eps_t) + (k^2 - 1) s2) / ((2 c k^2 + 4 c nu2 / R) R),
+    so neither a tight eps_t nor a target near 1 cancels.
     """
     s1, s2 = sums
     nu1, nu2 = k * k * s1, k * k * s2
     if nu1 == 0.0 and nu2 == 0.0:
         return None
     c = 1.0 - eps_t
-    return 2.0 * c * k * k / (math.hypot(nu1, 2.0 * math.sqrt(c * nu2)) + nu1)
+    root = math.hypot(nu1, 2.0 * math.sqrt(c * nu2)) + nu1
+    if 2.0 * c * k * k < 0.5 * root:
+        return math.log(2.0 * c * k * k / root)
+    excess = k * k * (empty - eps_t) + (k * k - 1) * s2  # x >= 1 exactly where it is >= 0
+    return math.log1p(4.0 * c * k * k * excess / ((2.0 * c * k * k + 4.0 * c * nu2 / root) * root))
 
 
 def tau_max_general(
@@ -339,11 +347,13 @@ def tau_max_general(
     above k.  Finite, or ``None`` when no threshold meets it or n = 1.
     """
     _check_reliability(n, k, gamma_r, eps_t)
-    target = _survival_target(k, eps_t, region_sums(n, k, r))
-    if n == 1 or target is None:
+    p = disc_square_overlap(r)  # P(L = 0): the mass at l = 0 takes no log p
+    empty = _binom_masses(n, (0,), 0.0, math.log1p(-p))[0] if p < 1.0 else 0.0
+    log_target = _log_survival_target(k, eps_t, region_sums(n, k, r), empty)
+    if n == 1 or log_target is None:
         return None
     denom = gamma_r * (n - 1) * geometry_integrals(alpha, delta).hop_sum * _hop_loss(r, alpha)
-    return _root(math.log(target), denom)
+    return _root(log_target, denom)
 
 
 def tau_min_general(

@@ -14,7 +14,7 @@ from twohopsec.bounds_general import (
     _GL_WEIGHTS,
     GeometryIntegrals,
     _binom_sums,
-    _survival_target,
+    _log_survival_target,
     QuadratureError,
     channel_survival_base,
     disc_square_overlap,
@@ -321,11 +321,11 @@ class TestTauWindowsGeneral:
     def test_quadratic_limit_matches_linear_fallback(self):
         # one root for both: linear at nu2 = 0, tending to it as nu2 vanishes
         s1, eps_t, k = 0.6, 0.3, 2
-        linear = (1 - eps_t) / s1
-        assert _survival_target(k, eps_t, (s1, 0.0)) == pytest.approx(linear, rel=1e-15)
-        assert _survival_target(k, eps_t, (s1, 1e-9)) == pytest.approx(linear, rel=1e-8)
-        # nu2 far below nu1's last digit: an unrationalized root cancels to 0 here
-        assert _survival_target(k, eps_t, (s1, 1e-30)) == pytest.approx(linear, rel=1e-15)
+        linear = math.log((1 - eps_t) / s1)
+        for s2, rel in ((0.0, 1e-15), (1e-9, 1e-8), (1e-30, 1e-15)):
+            # at s2 = 1e-30, far below nu1's last digit, an unrationalized root cancels to 0
+            got = _log_survival_target(k, eps_t, (s1, s2), 1.0 - s1 - s2)
+            assert got == pytest.approx(linear, rel=rel)
 
     def test_tiny_above_k_mass_leaves_the_window_as_at_k_equals_n(self):
         # P(L > 99) ~ 1e-55 at n = 100, r = 0.3: the requirement still binds
@@ -393,13 +393,14 @@ def test_survival_target_solves_the_reliability_quadratic(inputs, gamma_r, alpha
     """
     n, k, r = inputs
     s1, s2 = region_sums(n, k, r)
-    x = _survival_target(k, eps_t, (s1, s2))
+    log_x = _log_survival_target(k, eps_t, (s1, s2), 1.0 - s1 - s2)
     tau_hi = tau_max_general(n, k, r, gamma_r, alpha, delta, eps_t)
     assert tau_hi is None or math.isfinite(tau_hi)
-    if x is None:
+    if log_x is None:
         assert s1 == s2 == 0.0 and tau_hi is None
         return
-    assert x > 0.0 and (tau_hi is None) == (x >= 1.0)
+    x = math.exp(log_x) if log_x < 709.0 else math.inf
+    assert x > 0.0 and (tau_hi is None) == (log_x >= 0.0)
     if math.isinf(x):  # s1 near the float minimum: the root passes the largest float
         return
     c = (1.0 - eps_t) * k * k
@@ -467,6 +468,43 @@ class TestMaxEavesGeneral:
         tol = max_eaves_general(n, k, r, 1.0, ge, d0, ALPHA, DELTA, eps_t, eps_s)
         y = 1 - math.sqrt(1 - eps_s)
         assert tol.bound == pytest.approx(y / (cap + (1 - cap) * omega), rel=1e-14)
+
+
+def mp_tau_max_general(n, k, r, gamma_r, alpha, delta, eps_t):
+    """sqrt(-log(target) / denom) at 60 digits from the float region sums and hop sum."""
+    with mp.workdps(60):
+        s1, s2 = (mp.mpf(v) for v in region_sums(n, k, r))
+        c = 1 - mp.mpf(eps_t)
+        target = 2 * c * k * k / (mp.sqrt((k * k * s1) ** 2 + 4 * c * k * k * s2) + k * k * s1)
+        hop_sum = mp.mpf(geometry_integrals(alpha, delta).hop_sum)
+        denom = mp.mpf(gamma_r) * (n - 1) * hop_sum * (0.5 + mp.mpf(r)) ** alpha
+        return float(mp.sqrt(-mp.log(target) / denom))
+
+
+@pytest.mark.parametrize("eps_t", [1e-9, 1e-12, 1e-15])
+def test_tau_max_at_tight_reliability_targets(eps_t):
+    # every relay lies in the region at r = 1, so the target is (1 - eps_t) / s1;
+    # its log cancelled: 1.4e-8, 6.7e-5 and 5.4e-2 off relative at these eps_t
+    want = mp_tau_max_general(5, 5, 1.0, 1.0, ALPHA, DELTA, eps_t)
+    got = tau_max_general(5, 5, 1.0, 1.0, ALPHA, DELTA, eps_t)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n, k, r", [(5, 1, 0.3), (5, 5, 0.3), (3000, 1, 0.6)])
+def test_tau_max_at_a_survival_target_near_one(n, k, r):
+    # the region law's P(L = 0) ~ eps_t = 0.19 puts the target within 2.1e-4 of 1 at
+    # r = 0.3; its log as log1p(-eps_t) + log(2k^2/R) lost 1.8e-12 relative to
+    # cancellation.  The reference takes the exact binomial law of the float p.
+    with mp.workdps(60):
+        p = mp.mpf(disc_square_overlap(r))
+        pmf = [mp.binomial(n, l) * p**l * (1 - p) ** (n - l) for l in range(n + 1)]
+        s1, s2, c = mp.fsum(pmf[1:k + 1]), mp.fsum(pmf[k + 1:]), 1 - mp.mpf(0.19)
+        target = 2 * c * k * k / (mp.sqrt((k * k * s1) ** 2 + 4 * c * k * k * s2) + k * k * s1)
+        denom = (n - 1) * mp.mpf(GEO.hop_sum) * (0.5 + mp.mpf(r)) ** ALPHA
+        want = float(mp.sqrt(-mp.log(target) / denom))
+    # at n = 3000 the masses' log-factorial coefficients carry 2e-13 on their own
+    rel = 1e-12 if n == 3000 else 1e-13
+    assert tau_max_general(n, k, r, 1.0, ALPHA, DELTA, 0.19) == pytest.approx(want, rel=rel)
 
 
 @pytest.mark.parametrize("eps_s", [1e-9, 1e-12, 1e-15])

@@ -132,17 +132,21 @@ def _tau_min(n: int, m: int, level: float, eps_s: float, cap: float = 0.0):
     return -math.log1p(x)
 
 
-def _root(log_target: float, denom: float):
+def _root(log_target: float, denom: float, log_denom: float):
     """sqrt(-log_target / denom), the largest admissible tau.
 
     ``log_target`` is the log of the smallest survival level the reliability
-    requirement admits; >= 0 means no threshold meets it.
+    requirement admits; >= 0 means no threshold meets it.  Where ``denom``
+    or the quotient leaves the normal float range (a tiny or huge gamma_r),
+    the root is formed in log space from ``log_denom``, the log of ``denom``
+    taken factor by factor; past the largest float it reads inf.
     """
     if log_target >= 0.0:
         return None
-    if not denom > 0.0:  # 0 by underflow, or 0 * inf
-        raise FloatingPointError("the tau_max denominator underflows")
-    return math.sqrt(-log_target / denom)
+    if 2.2250738585072014e-308 <= denom < math.inf and -log_target / denom < math.inf:
+        return math.sqrt(-log_target / denom)
+    half = 0.5 * (math.log(-log_target) - log_denom)
+    return math.exp(half) if half < 709.78 else math.inf
 
 
 def _tolerance(n: int, tau_max: float | None, level: float, eps_s: float, cap: float = 0.0):
@@ -204,7 +208,8 @@ def tau_max_equal(n: int, k: int, gamma_r: float, eps_t: float):
     _check_reliability(n, k, gamma_r, eps_t)
     if n == 1:
         return None
-    return _root(_log_reliability_target(k, eps_t), 2.0 * gamma_r * (n - 1))
+    return _root(_log_reliability_target(k, eps_t), 2.0 * gamma_r * (n - 1),
+                 math.log(gamma_r) + math.log(2.0 * (n - 1)))
 
 
 def tau_min_equal(n: int, m: int, gamma_e: float, eps_s: float):

@@ -352,8 +352,11 @@ def tau_max_general(
     log_target = _log_survival_target(k, eps_t, region_sums(n, k, r), empty)
     if n == 1 or log_target is None:
         return None
-    denom = gamma_r * (n - 1) * geometry_integrals(alpha, delta).hop_sum * _hop_loss(r, alpha)
-    return _root(log_target, denom)
+    geometry, reach = (n - 1) * geometry_integrals(alpha, delta).hop_sum, _hop_loss(r, alpha)
+    # the log of reach is alpha log(0.5 + r) where reach underflows, at a huge alpha
+    log_denom = (math.log(gamma_r) + math.log(geometry)
+                 + (math.log(reach) if reach > 0.0 else alpha * math.log(0.5 + r)))
+    return _root(log_target, gamma_r * geometry * reach, log_denom)
 
 
 def tau_min_general(

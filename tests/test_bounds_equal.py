@@ -204,6 +204,15 @@ class TestAgainstHighPrecision:
             want = mp_tau_max(5, 1.0, eps_t)
         assert tau_max_equal(5, 1, 1.0, eps_t) == pytest.approx(float(want), rel=self.REL, abs=0.0)
 
+    @pytest.mark.parametrize("gamma_r", [5e-324, 1e-300, 1.7976931348623157e308])
+    def test_k1_tau_max_at_extreme_thresholds(self, gamma_r):
+        # tau_max^2 = 0.105 / (2 gamma_r) passed the largest float at the smallest
+        # gamma_r, and 2 gamma_r did at the largest: the root read inf and 0
+        with mp.workdps(60):
+            want = mp_tau_max(2, gamma_r, 0.19)
+        got = tau_max_equal(2, 1, gamma_r, 0.19)
+        assert got == pytest.approx(float(want), rel=self.REL, abs=0.0)
+
     def test_tolerance_at_a_tight_reliability_target(self):
         # the exponent (n-1)*tau_max is ~1e6 here, so an error in tau_max is
         # multiplied by ~1e6 * log(1 + gamma_e) in the tolerance

@@ -140,11 +140,14 @@ class TestSurvivalBase:
         assert transmission_bound_general(5, 1, 1e300, 1.0, 0.5, ALPHA, DELTA) == 1.0
         assert tau_max_general(5, 5, 1e300, 1.0, ALPHA, DELTA, 0.19) == 0.0
 
-    def test_an_underflowing_tau_max_denominator_raises(self):
-        # gamma_r * (n-1) * (phi1+phi2) * (0.5+r)^alpha rounds to 0 here, and the
-        # root used to raise ZeroDivisionError, which the CLI does not catch
-        with pytest.raises(FloatingPointError, match="underflows"):
-            tau_max_general(2, 1, 1.0, 5e-324, 2.0, 2.0, 1e-15)
+    def test_an_underflowing_tau_max_denominator_gives_the_root(self):
+        # gamma_r * (n-1) * (phi1+phi2) * (0.5+r)^alpha rounds to 0 here: the root
+        # raised ZeroDivisionError, then FloatingPointError (exit 3); the quotient
+        # is now formed in log space
+        want = mp_tau_max_general(2, 1, 1.0, 5e-324, 2.0, 2.0, 1e-15)
+        assert want == pytest.approx(9.48e153, rel=1e-3)
+        assert tau_max_general(2, 1, 1.0, 5e-324, 2.0, 2.0, 1e-15) == pytest.approx(
+            want, rel=1e-12, abs=0.0)
 
     def test_a_nan_bound_raises(self, monkeypatch):
         monkeypatch.setattr(bounds_general, "channel_survival_base", lambda *args: math.nan)

@@ -8,9 +8,13 @@ the same clamp the simulator applies -- which makes bound and simulation
 describe one regularized model.  The integrals are evaluated by exact
 radial integration in polar coordinates followed by panel Gauss-Legendre
 quadrature over the angle, with a resolution-doubling convergence check.
-They are cached per (alpha, delta), and the binomial masses of the in-region
-relay count, Binomial(n, disc_square_overlap(r)) as the simulator samples it
-for every r up to inf, per (n, k, r); each bound looks both up there.
+The nodes of a panel count (weight, reach R to the edge, log R) depend on
+neither alpha nor delta, so they are built once on ``math`` and an
+(alpha, delta) costs one radial profile per node.  The integrals are cached
+per (alpha, delta), and the binomial masses of the in-region relay count,
+Binomial(n, disc_square_overlap(r)) as the simulator samples it for every
+r up to inf, per (n, k, r), each mass from the one form of ``orderstats``;
+each bound looks both up there.
 The secrecy, tau-window and tolerance algebra is shared with
 ``bounds_equal``, whose case is the capture share 0 at level gamma_e.
 """
@@ -102,12 +106,8 @@ _RECTANGLES = ((4.0, 0.5, 0.5), (2.0, 1.0, 0.5), (1.0, 1.0, 1.0))
 
 @functools.lru_cache(maxsize=4)
 def _nodes(panels: int) -> list:
-    """Per rectangle, the (weights, R, log R) of its nodes, sorted by R.
-
-    About the corner, each angular segment (split at the diagonal) has
-    ``panels`` equal panels of the 16-point rule; the ray at angle t leaves
-    at R = w/cos(t) or h/sin(t).  Nothing here depends on (alpha, delta).
-    """
+    """Per rectangle, the (weights, R, log R) of its nodes sorted by R: none depends on
+    (alpha, delta).  The ray at angle t from the corner leaves at R = w/cos(t) or h/sin(t)."""
     tables = []
     for _, width, height in _RECTANGLES:
         theta_c, nodes = math.atan2(height, width), []
@@ -155,10 +155,7 @@ _REL_TOL = 1e-4  # the relative change at which the panel doubling stops
 
 @functools.lru_cache(maxsize=256)
 def geometry_integrals(
-    alpha: float,
-    delta: float,
-    resolution: int = 8,
-    max_resolution: int = 4096,
+    alpha: float, delta: float, resolution: int = 8, max_resolution: int = 4096
 ) -> GeometryIntegrals:
     """Evaluate the three clamped geometry integrals to a stable resolution.
 
@@ -251,13 +248,7 @@ def region_sums(n: int, k: int, r: float):
 
 
 def transmission_bound_general(
-    n: int,
-    k: int,
-    r: float,
-    gamma_r: float,
-    tau: float,
-    alpha: float,
-    delta: float,
+    n: int, k: int, r: float, gamma_r: float, tau: float, alpha: float, delta: float
 ) -> float:
     """Upper bound on transmission outage in the distance-dependent case.
 
@@ -291,13 +282,7 @@ def _capture_share(d0: float) -> float:
 
 
 def secrecy_bound_general(
-    n: int,
-    m: int,
-    gamma_e: float,
-    tau: float,
-    d0: float,
-    alpha: float,
-    delta: float,
+    n: int, m: int, gamma_e: float, tau: float, d0: float, alpha: float, delta: float
 ) -> SaturatingBound:
     """Upper bound on secrecy outage: 2mW - (mW)^2 with capture-disc floor.
 
@@ -312,13 +297,11 @@ def secrecy_bound_general(
 def _log_survival_target(k: int, eps_t: float, sums, empty: float) -> float | None:
     """log of the smallest admissible U^(phi1+phi2); None when no region relay exists.
 
-    ``sums`` is ``region_sums(n, k, r)``, nu1 and nu2 its k^2-scaled masses,
-    and ``empty`` = P(L = 0).  The target x, the positive root of
-    (nu2/k^2) x^2 + nu1 x = c k^2 with c = 1 - eps_t, is rationalized as
-    2 c k^2 / R, R = hypot(nu1, 2 sqrt(c nu2)) + nu1, so a tiny nu2 does not
-    cancel it.  From x = 0.5 up its log is log1p(x - 1), rationalized again:
-    x - 1 = 4 c k^2 (k^2 (empty - eps_t) + (k^2 - 1) s2) / ((2 c k^2 + 4 c nu2 / R) R),
-    so neither a tight eps_t nor a target near 1 cancels.
+    ``sums`` is ``region_sums(n, k, r)``, nu1 and nu2 its k^2-scaled masses, and
+    ``empty`` = P(L = 0).  The root x of (nu2/k^2) x^2 + nu1 x = c k^2, c = 1 - eps_t,
+    is 2 c k^2 / R with R = hypot(nu1, 2 sqrt(c nu2)) + nu1, so a tiny nu2 does not
+    cancel it; from x = 0.5 up its log is log1p(x - 1) with x - 1 rationalized
+    too, so neither a tight eps_t nor a target near 1 cancels.
     """
     s1, s2 = sums
     nu1, nu2 = k * k * s1, k * k * s2
@@ -328,18 +311,13 @@ def _log_survival_target(k: int, eps_t: float, sums, empty: float) -> float | No
     root = math.hypot(nu1, 2.0 * math.sqrt(c * nu2)) + nu1
     if 2.0 * c * k * k < 0.5 * root:
         return math.log(2.0 * c * k * k / root)
-    excess = k * k * (empty - eps_t) + (k * k - 1) * s2  # x >= 1 exactly where it is >= 0
+    # x - 1 = 4 c k^2 excess / (D R), D = 2 c k^2 - nu1 + hypot(...), so x >= 1 iff excess >= 0
+    excess = k * k * (empty - eps_t) + (k * k - 1) * s2
     return math.log1p(4.0 * c * k * k * excess / ((2.0 * c * k * k + 4.0 * c * nu2 / root) * root))
 
 
 def tau_max_general(
-    n: int,
-    k: int,
-    r: float,
-    gamma_r: float,
-    alpha: float,
-    delta: float,
-    eps_t: float,
+    n: int, k: int, r: float, gamma_r: float, alpha: float, delta: float, eps_t: float
 ):
     """Largest jamming threshold keeping the transmission bound within eps_t.
 
@@ -360,13 +338,7 @@ def tau_max_general(
 
 
 def tau_min_general(
-    n: int,
-    m: int,
-    gamma_e: float,
-    d0: float,
-    alpha: float,
-    delta: float,
-    eps_s: float,
+    n: int, m: int, gamma_e: float, d0: float, alpha: float, delta: float, eps_s: float
 ):
     """Smallest jamming threshold keeping the secrecy bound within eps_s.
 
@@ -379,18 +351,8 @@ def tau_min_general(
     return _tau_min(n, m, _eaves_level(gamma_e, d0, alpha, delta), eps_s, cap)
 
 
-def max_eaves_general(
-    n: int,
-    k: int,
-    r: float,
-    gamma_r: float,
-    gamma_e: float,
-    d0: float,
-    alpha: float,
-    delta: float,
-    eps_t: float,
-    eps_s: float,
-):
+def max_eaves_general(n: int, k: int, r: float, gamma_r: float, gamma_e: float, d0: float,
+                      alpha: float, delta: float, eps_t: float, eps_s: float):
     """Tolerable eavesdropper count in the distance-dependent case.
 
     (1-sqrt(1-eps_s)) / (pi*d0^2 + (1-pi*d0^2)*omega) where omega is the

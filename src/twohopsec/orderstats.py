@@ -40,7 +40,6 @@ def _points(x):
         x, xp = float(x), math
     else:
         import numpy as xp
-
         x = xp.asarray(x, dtype=float)
     if not (math.isfinite(x) if xp is math else xp.isfinite(x).all()):
         raise ValueError("gain argument must be finite")
@@ -99,17 +98,16 @@ def _binom_masses(n: int, counts, log_p, log_q, exp=math.exp) -> list:
             for l in counts]
 
 
-# (x and n, count, F_count(x), F_1(x) + ... + F_count(x)) of the last _rank_sums
-# call; it is replaced whole, so a concurrent caller at worst recomputes
+# ((x, n), count, F_count(x), F_1(x) + ... + F_count(x)) of the last _rank_sums call,
+# replaced whole, so a concurrent caller at worst recomputes
 _last_ranks = (None, 0, 0.0, 0.0)
 
 
 def _rank_sums(x, xp, count: int, n: int) -> tuple:
-    """(F_count(x), F_1(x) + ... + F_count(x)) for F_j the CDF of the j-th largest gain.
+    """(F_count(x), F_1(x) + ... + F_count(x)), F_j(x) = P(Binomial(n, 1 - e^{-2x}) >= n - j + 1).
 
-    F_j is P(Binomial(n, 1 - e^{-2x}) >= n - j + 1), with log(1 - p) = -2x
-    exactly.  The sums at the last x are kept, so a sweep over the ranks at
-    one x, as a rank mixture in ``mixture_cdf`` makes, forms one mass per rank.
+    log(1 - p) = -2x exactly.  The sums at the last x are kept, so a sweep over
+    the ranks at one x (a rank mixture in ``mixture_cdf``) forms one mass per rank.
     """
     global _last_ranks
     key = (x if xp is math else x.tobytes(), n)
@@ -188,7 +186,6 @@ def sample_topk_random(n: int, k: int, rng, size=None):
     Gains are consumed from ``rng`` first, the selection index second.
     """
     import numpy as np
-
     _validate_rank(k, n, "k")
     b = 1 if size is None else size
     gains = rng.standard_exponential((b, n, 2)).min(axis=-1)

@@ -145,11 +145,6 @@ def _radial_sum(table, alpha: float, delta: float) -> float:
     return clamped + free
 
 
-def _evaluate_integrals(alpha: float, delta: float, panels: int):
-    return tuple(factor * _radial_sum(table, alpha, delta)
-                 for (factor, _, _), table in zip(_RECTANGLES, _nodes(panels)))
-
-
 _REL_TOL = 1e-4  # the relative change at which the panel doubling stops
 
 
@@ -169,17 +164,16 @@ def geometry_integrals(
         raise ValueError("delta must be positive")
     if resolution < 1:
         raise ValueError("resolution must be a positive panel count")
-    panels = int(resolution)
-    prev = _evaluate_integrals(alpha, delta, panels)
+    panels, prev = int(resolution), None
     while True:
+        cur = [factor * _radial_sum(table, alpha, delta)
+               for (factor, _, _), table in zip(_RECTANGLES, _nodes(panels))]
+        if prev and all(abs(c - p) <= _REL_TOL * abs(c) for c, p in zip(cur, prev)):
+            return GeometryIntegrals(*cur, alpha=alpha, delta=delta, resolution=panels)
         if panels * 2 > max_resolution:
             raise QuadratureError(f"geometry integrals did not converge within "
                                   f"{max_resolution} panels")
-        panels *= 2
-        cur = _evaluate_integrals(alpha, delta, panels)
-        if all(abs(c - p) <= _REL_TOL * abs(c) for c, p in zip(cur, prev)):
-            return GeometryIntegrals(*cur, alpha=alpha, delta=delta, resolution=panels)
-        prev = cur
+        panels, prev = panels * 2, cur
 
 
 def disc_square_overlap(r: float) -> float:
@@ -316,6 +310,14 @@ def _log_survival_target(k: int, eps_t: float, sums, empty: float) -> float | No
     return math.log1p(4.0 * c * k * k * excess / ((2.0 * c * k * k + 4.0 * c * nu2 / root) * root))
 
 
+@functools.lru_cache(maxsize=256, typed=True)
+def _log_target(n: int, k: int, r: float, eps_t: float) -> float | None:
+    """``_log_survival_target`` of the region law, cached per input like ``region_sums``."""
+    p = disc_square_overlap(r)  # P(L = 0) = (1 - p)^n, the l = 0 mass of _binom_masses
+    empty = math.exp(n * math.log1p(-p)) if p < 1.0 else 0.0
+    return _log_survival_target(k, eps_t, region_sums(n, k, r), empty)
+
+
 def tau_max_general(
     n: int, k: int, r: float, gamma_r: float, alpha: float, delta: float, eps_t: float
 ):
@@ -325,9 +327,7 @@ def tau_max_general(
     above k.  Finite, or ``None`` when no threshold meets it or n = 1.
     """
     _check_reliability(n, k, gamma_r, eps_t)
-    p = disc_square_overlap(r)  # P(L = 0): the mass at l = 0 takes no log p
-    empty = _binom_masses(n, (0,), 0.0, math.log1p(-p))[0] if p < 1.0 else 0.0
-    log_target = _log_survival_target(k, eps_t, region_sums(n, k, r), empty)
+    log_target = _log_target(n, k, r, eps_t)
     if n == 1 or log_target is None:
         return None
     geometry, reach = (n - 1) * geometry_integrals(alpha, delta).hop_sum, _hop_loss(r, alpha)

@@ -70,18 +70,16 @@ def min_pair_cdf(x):
     return _apply(lambda v, xp: -xp.expm1(-2.0 * v), x)
 
 
-# log l! at index l, each entry math.lgamma(l + 1); _log_factorials grows it
-# by doubling.  An entry depends on its index only, never on the call history.
+# log l! at index l, each entry math.lgamma(l + 1), its length a power of 2.  An
+# entry depends on its index only, never on the call history.
 _log_factorial_table = [0.0]
 
 
 def _log_factorials(n: int) -> list:
-    """The table of log l!, grown first if it does not reach l = n."""
+    """The table of log l!, grown first, to the next power of 2 past n, if it does not reach n."""
     table = _log_factorial_table
-    size = new_size = len(table)
-    while new_size <= n:
-        new_size *= 2
-    table.extend(math.lgamma(l + 1) for l in range(size, new_size))
+    if n >= len(table):
+        table.extend(math.lgamma(l + 1) for l in range(len(table), 2 ** n.bit_length()))
     return table
 
 

@@ -105,7 +105,7 @@ _RECTANGLES = ((4.0, 0.5, 0.5), (2.0, 1.0, 0.5), (1.0, 1.0, 1.0))
 
 
 @functools.lru_cache(maxsize=4)
-def _nodes(panels: int) -> list:
+def _nodes(panels: int) -> tuple:
     """Per rectangle, the (weights, R, log R) of its nodes sorted by R: none depends on
     (alpha, delta).  The ray at angle t from the corner leaves at R = w/cos(t) or h/sin(t)."""
     tables = []
@@ -121,7 +121,7 @@ def _nodes(panels: int) -> list:
                           for x, w in zip(_GL_NODES, _GL_WEIGHTS)]
         reach, weights = zip(*sorted(nodes))
         tables.append((weights, reach, tuple(map(math.log, reach))))
-    return tables
+    return tuple(tables)
 
 
 def _radial_sum(table, alpha: float, delta: float) -> float:

@@ -76,10 +76,13 @@ _log_factorial_table = [0.0]
 
 
 def _log_factorials(n: int) -> list:
-    """The table of log l!, grown first, to the next power of 2 past n, if it does not reach n."""
+    """The table of log l!, replaced by one grown to the next power of 2 past n if it
+    does not reach n, so a concurrent caller never sees a half-grown table."""
+    global _log_factorial_table
     table = _log_factorial_table
     if n >= len(table):
-        table.extend(math.lgamma(l + 1) for l in range(len(table), 2 ** n.bit_length()))
+        grown = [math.lgamma(l + 1) for l in range(len(table), 2 ** n.bit_length())]
+        table = _log_factorial_table = table + grown
     return table
 
 

@@ -53,7 +53,7 @@ def _apply(cdf, x):
     if xp is math:
         return cdf(min(x, 1e300), math) if x > 0.0 else 0.0
     with xp.errstate(divide="ignore"):
-        return cdf(xp.clip(x, 0.0, 1e300), xp)
+        return xp.asarray(cdf(xp.clip(x, 0.0, 1e300), xp))  # a 0-d input stays an array
 
 
 def _validate_rank(value: int, n: int, name: str) -> None:

@@ -12,16 +12,20 @@ A real ``x`` gives a float computed on ``math``; an array-like ``x`` gives
 an array from the same arithmetic on NumPy's elementwise exp, log and
 expm1.  Every binomial mass is one form, exp(log C(n, l) + l log p +
 (n - l) log(1 - p)) with log C(n, l) off a table of log l!, so no factor
-overflows at any n.  The j-th largest gain's CDF sums the masses at
-l = n, n - 1, ..., n - j + 1, so the top-k CDF forms k masses and reads
-every rank off their running sum.  Only arrays and the samplers, which
-draw from a NumPy ``Generator``, import NumPy.
+overflows at any n; an array forms them in one NumPy call over a counts
+axis.  The j-th largest gain's CDF sums the masses at l = n, n - 1, ...,
+n - j + 1, so the top-k CDF forms k masses and reads every rank off their
+running sum.  Only arrays and the samplers, which draw from a NumPy
+``Generator``, import NumPy.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from functools import reduce
+from itertools import accumulate
+from operator import add
 
 __all__ = [
     "min_pair_cdf",
@@ -40,6 +44,7 @@ def _points(x):
         x, xp = float(x), math
     else:
         import numpy as xp
+
         x = xp.asarray(x, dtype=float)
     if not (math.isfinite(x) if xp is math else xp.isfinite(x).all()):
         raise ValueError("gain argument must be finite")
@@ -81,47 +86,40 @@ def _log_factorials(n: int) -> list:
     global _log_factorial_table
     table = _log_factorial_table
     if n >= len(table):
-        grown = [math.lgamma(l + 1) for l in range(len(table), 2 ** n.bit_length())]
+        grown = [math.lgamma(l + 1) for l in range(len(table), 2 ** int(n).bit_length())]
         table = _log_factorial_table = table + grown
     return table
 
 
-def _binom_masses(n: int, counts, log_p, log_q, exp=math.exp) -> list:
+def _binom_masses(n: int, counts, log_p, log_q, xp=math):
     """Binomial(n, p) masses at the integer ``counts``, 0 <= l <= n, from log p and log(1 - p).
 
-    With NumPy arrays of log p and log(1 - p) and ``exp=numpy.exp``, each
-    mass is an array over them.  A count of 0 at p = 0, or of n at p = 1,
-    would form 0 * -inf: callers settle those p themselves.
+    A list of floats on ``math``; with NumPy as ``xp`` and arrays of log p
+    and log(1 - p), one array whose leading axis runs over the counts.  A
+    count of 0 at p = 0, or of n at p = 1, would form 0 * -inf: callers
+    settle those p themselves.
     """
     log_fact = _log_factorials(n)
-    top = log_fact[n]
-    return [exp(top - log_fact[l] - log_fact[n - l] + l * log_p + (n - l) * log_q)
-            for l in counts]
+    if xp is not math:  # the whole counts axis as one array
+        log_fact = xp.asarray(log_fact[: n + 1])
+        counts = [xp.reshape(xp.asarray(counts), (-1,) + (1,) * xp.ndim(log_p))]
+    exp, top = xp.exp, log_fact[n]
+    masses = [exp(top - log_fact[l] - log_fact[n - l] + l * log_p + (n - l) * log_q)
+              for l in counts]
+    return masses if xp is math else masses[0]
 
 
-# ((x, n), count, F_count(x), F_1(x) + ... + F_count(x)) of the last _rank_sums call,
-# replaced whole, so a concurrent caller at worst recomputes
-_last_ranks = (None, 0, 0.0, 0.0)
+def _rank_cdfs(x, xp, count: int, n: int):
+    """F_1(x), ..., F_count(x), F_j(x) = P(Binomial(n, 1 - e^{-2x}) >= n - j + 1).
 
-
-def _rank_sums(x, xp, count: int, n: int) -> tuple:
-    """(F_count(x), F_1(x) + ... + F_count(x)), F_j(x) = P(Binomial(n, 1 - e^{-2x}) >= n - j + 1).
-
-    log(1 - p) = -2x exactly.  The sums at the last x are kept, so a sweep over
-    the ranks at one x (a rank mixture in ``mixture_cdf``) forms one mass per rank.
+    F_j adds the mass at l = n - j + 1 to F_{j-1}, so the CDFs are the
+    running sums, in order, of the masses at l = n, ..., n - count + 1;
+    log(1 - p) = -2x exactly.  A list on ``math``, else an array whose
+    leading axis runs over the ranks.
     """
-    global _last_ranks
-    key = (x if xp is math else x.tobytes(), n)
-    last_key, start, tail, total = _last_ranks
-    if last_key != key or start > count:
-        start, tail, total = 0, 0.0, 0.0
     log_q = -2.0 * x
-    counts = range(n - start, n - count, -1)
-    for mass in _binom_masses(n, counts, xp.log(-xp.expm1(log_q)), log_q, xp.exp):
-        tail = tail + mass
-        total = total + tail
-    _last_ranks = (key, count, tail, total)
-    return tail, total
+    masses = _binom_masses(n, range(n, n - count, -1), xp.log(-xp.expm1(log_q)), log_q, xp)
+    return list(accumulate(masses)) if xp is math else xp.cumsum(masses, axis=0)
 
 
 def kth_largest_cdf(x, j: int, n: int):
@@ -131,7 +129,7 @@ def kth_largest_cdf(x, j: int, n: int):
     for j = n it collapses to the minimum, 1 - e^{-2nx}.
     """
     _validate_rank(j, n, "j")
-    return _apply(lambda v, xp: _rank_sums(v, xp, j, n)[0], x)
+    return _apply(lambda v, xp: _rank_cdfs(v, xp, j, n)[-1], x)
 
 
 def topk_random_cdf(x, k: int, n: int):
@@ -141,7 +139,11 @@ def topk_random_cdf(x, k: int, n: int):
     the j-th-largest CDFs; k = 1 recovers the maximum, k = n the parent.
     """
     _validate_rank(k, n, "k")
-    return _apply(lambda v, xp: _rank_sums(v, xp, k, n)[1] / k, x)
+
+    def cdf(v, xp):  # the ranks summed in order, as mixture_cdf sums them
+        cdfs = _rank_cdfs(v, xp, k, n)
+        return (reduce(add, cdfs) if xp is math else xp.cumsum(cdfs, axis=0)[-1]) / k
+    return _apply(cdf, x)
 
 
 def mixture_cdf(component_cdfs, x):
@@ -187,6 +189,7 @@ def sample_topk_random(n: int, k: int, rng, size=None):
     Gains are consumed from ``rng`` first, the selection index second.
     """
     import numpy as np
+
     _validate_rank(k, n, "k")
     b = 1 if size is None else size
     gains = rng.standard_exponential((b, n, 2)).min(axis=-1)

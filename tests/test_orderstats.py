@@ -119,6 +119,26 @@ class TestTopkRandom:
                 assert type(got) is type(want)
                 assert np.array_equal(got, want), (n, k, x)
 
+    @pytest.mark.parametrize("cdf, rank", [(kth_largest_cdf, 2), (kth_largest_cdf, 3),
+                                           (topk_random_cdf, 3)])
+    def test_a_call_does_not_depend_on_the_calls_before(self, cdf, rank):
+        xs = np.array([0.2, 0.7])
+        fresh = {shape: cdf(xs.reshape(shape), rank, 5) for shape in ((2,), (2, 1), (1, 2))}
+        flat = cdf(xs, rank, 5)
+        assert cdf(xs.reshape(2, 1), rank, 5).shape == (2, 1)
+        assert np.array_equal(cdf(xs.reshape(1, 2), rank, 5), fresh[(1, 2)])
+        flat *= 2.0  # a caller changing its result in place
+        assert np.array_equal(cdf(xs, rank, 5), fresh[(2,)])
+        cdf(np.array([0.2]), rank, 5)
+        assert cdf(np.array(0.2), rank, 5).shape == ()
+        assert cdf(xs.reshape(2, 1), rank, 5).shape == (2, 1)
+
+    def test_numpy_integer_ranks(self, monkeypatch):
+        monkeypatch.setattr(orderstats, "_log_factorial_table", [0.0])  # the table must grow
+        got = kth_largest_cdf(0.5, np.int64(3), np.int64(5000))
+        assert got == kth_largest_cdf(0.5, 3, 5000)
+        assert topk_random_cdf(0.5, np.int32(4), np.int64(6000)) == topk_random_cdf(0.5, 4, 6000)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             topk_random_cdf(0.3, 0, 5)

@@ -150,7 +150,10 @@ _REL_TOL = 1e-4  # the relative change at which the panel doubling stops
 
 @functools.lru_cache(maxsize=256)
 def geometry_integrals(
-    alpha: float, delta: float, resolution: int = 8, max_resolution: int = 4096
+    alpha: float,
+    delta: float,
+    resolution: int = 8,
+    max_resolution: int = 4096,
 ) -> GeometryIntegrals:
     """Evaluate the three clamped geometry integrals to a stable resolution.
 
@@ -171,8 +174,9 @@ def geometry_integrals(
         if prev and all(abs(c - p) <= _REL_TOL * abs(c) for c, p in zip(cur, prev)):
             return GeometryIntegrals(*cur, alpha=alpha, delta=delta, resolution=panels)
         if panels * 2 > max_resolution:
-            raise QuadratureError(f"geometry integrals did not converge within "
-                                  f"{max_resolution} panels")
+            raise QuadratureError(
+                f"geometry integrals did not converge within {max_resolution} panels"
+            )
         panels, prev = panels * 2, cur
 
 
@@ -218,18 +222,18 @@ def channel_survival_base(n: int, gamma_r: float, tau: float, r: float, alpha: f
 
 
 def _binom_sums(n: int, k: int, p: float):
-    """(P(1 <= L <= k), P(L > k)) for L ~ Binomial(n, p), 1 <= k <= n."""
+    """(P(L = 0), P(1 <= L <= k), P(L > k)) for L ~ Binomial(n, p), 1 <= k <= n."""
     if p == 0.0:
-        return 0.0, 0.0
+        return 1.0, 0.0, 0.0
     if p == 1.0:
-        return (1.0, 0.0) if k == n else (0.0, 1.0)
-    masses = _binom_masses(n, range(1, n + 1), math.log(p), math.log1p(-p))
-    return math.fsum(masses[:k]), math.fsum(masses[k:])
+        return (0.0, 1.0, 0.0) if k == n else (0.0, 0.0, 1.0)
+    masses = _binom_masses(n, range(n + 1), math.log(p), math.log1p(-p))
+    return masses[0], math.fsum(masses[1 : k + 1]), math.fsum(masses[k + 1 :])
 
 
 @functools.lru_cache(maxsize=256, typed=True)
 def region_sums(n: int, k: int, r: float):
-    """(P(1 <= L <= k), P(L > k)) for the in-region relay count L.
+    """(P(L = 0), P(1 <= L <= k), P(L > k)) for the in-region relay count L.
 
     L ~ Binomial(n, disc_square_overlap(r)), the law the simulator samples.
     Cached per (n, k, r), argument types included, so
@@ -242,7 +246,13 @@ def region_sums(n: int, k: int, r: float):
 
 
 def transmission_bound_general(
-    n: int, k: int, r: float, gamma_r: float, tau: float, alpha: float, delta: float
+    n: int,
+    k: int,
+    r: float,
+    gamma_r: float,
+    tau: float,
+    alpha: float,
+    delta: float,
 ) -> float:
     """Upper bound on transmission outage in the distance-dependent case.
 
@@ -250,7 +260,7 @@ def transmission_bound_general(
     with L the binomial in-region relay count and U the survival base.  A
     NaN raises FloatingPointError: the clamp to [0, 1] would pass it through.
     """
-    s1, s2 = region_sums(n, k, r)
+    _, s1, s2 = region_sums(n, k, r)
     u = channel_survival_base(n, gamma_r, tau, r, alpha)
     phi = geometry_integrals(alpha, delta).hop_sum
     value = 1.0 - u**phi * s1 - (u ** (2.0 * phi)) / (k * k) * s2
@@ -276,7 +286,13 @@ def _capture_share(d0: float) -> float:
 
 
 def secrecy_bound_general(
-    n: int, m: int, gamma_e: float, tau: float, d0: float, alpha: float, delta: float
+    n: int,
+    m: int,
+    gamma_e: float,
+    tau: float,
+    d0: float,
+    alpha: float,
+    delta: float,
 ) -> SaturatingBound:
     """Upper bound on secrecy outage: 2mW - (mW)^2 with capture-disc floor.
 
@@ -288,16 +304,16 @@ def secrecy_bound_general(
     return _interception(m, level, (n - 1) * (-math.expm1(-tau)), cap)
 
 
-def _log_survival_target(k: int, eps_t: float, sums, empty: float) -> float | None:
+def _log_survival_target(k: int, eps_t: float, sums) -> float | None:
     """log of the smallest admissible U^(phi1+phi2); None when no region relay exists.
 
-    ``sums`` is ``region_sums(n, k, r)``, nu1 and nu2 its k^2-scaled masses, and
-    ``empty`` = P(L = 0).  The root x of (nu2/k^2) x^2 + nu1 x = c k^2, c = 1 - eps_t,
+    ``sums`` is ``region_sums(n, k, r)``: P(L = 0), then the two masses that
+    nu1 and nu2 scale by k^2.  The root x of (nu2/k^2) x^2 + nu1 x = c k^2, c = 1 - eps_t,
     is 2 c k^2 / R with R = hypot(nu1, 2 sqrt(c nu2)) + nu1, so a tiny nu2 does not
     cancel it; from x = 0.5 up its log is log1p(x - 1) with x - 1 rationalized
     too, so neither a tight eps_t nor a target near 1 cancels.
     """
-    s1, s2 = sums
+    empty, s1, s2 = sums
     nu1, nu2 = k * k * s1, k * k * s2
     if nu1 == 0.0 and nu2 == 0.0:
         return None
@@ -310,16 +326,14 @@ def _log_survival_target(k: int, eps_t: float, sums, empty: float) -> float | No
     return math.log1p(4.0 * c * k * k * excess / ((2.0 * c * k * k + 4.0 * c * nu2 / root) * root))
 
 
-@functools.lru_cache(maxsize=256, typed=True)
-def _log_target(n: int, k: int, r: float, eps_t: float) -> float | None:
-    """``_log_survival_target`` of the region law, cached per input like ``region_sums``."""
-    p = disc_square_overlap(r)  # P(L = 0) = (1 - p)^n, the l = 0 mass of _binom_masses
-    empty = math.exp(n * math.log1p(-p)) if p < 1.0 else 0.0
-    return _log_survival_target(k, eps_t, region_sums(n, k, r), empty)
-
-
 def tau_max_general(
-    n: int, k: int, r: float, gamma_r: float, alpha: float, delta: float, eps_t: float
+    n: int,
+    k: int,
+    r: float,
+    gamma_r: float,
+    alpha: float,
+    delta: float,
+    eps_t: float,
 ):
     """Largest jamming threshold keeping the transmission bound within eps_t.
 
@@ -327,7 +341,7 @@ def tau_max_general(
     above k.  Finite, or ``None`` when no threshold meets it or n = 1.
     """
     _check_reliability(n, k, gamma_r, eps_t)
-    log_target = _log_target(n, k, r, eps_t)
+    log_target = _log_survival_target(k, eps_t, region_sums(n, k, r))
     if n == 1 or log_target is None:
         return None
     geometry, reach = (n - 1) * geometry_integrals(alpha, delta).hop_sum, _hop_loss(r, alpha)
@@ -338,7 +352,13 @@ def tau_max_general(
 
 
 def tau_min_general(
-    n: int, m: int, gamma_e: float, d0: float, alpha: float, delta: float, eps_s: float
+    n: int,
+    m: int,
+    gamma_e: float,
+    d0: float,
+    alpha: float,
+    delta: float,
+    eps_s: float,
 ):
     """Smallest jamming threshold keeping the secrecy bound within eps_s.
 
@@ -351,8 +371,18 @@ def tau_min_general(
     return _tau_min(n, m, _eaves_level(gamma_e, d0, alpha, delta), eps_s, cap)
 
 
-def max_eaves_general(n: int, k: int, r: float, gamma_r: float, gamma_e: float, d0: float,
-                      alpha: float, delta: float, eps_t: float, eps_s: float):
+def max_eaves_general(
+    n: int,
+    k: int,
+    r: float,
+    gamma_r: float,
+    gamma_e: float,
+    d0: float,
+    alpha: float,
+    delta: float,
+    eps_t: float,
+    eps_s: float,
+):
     """Tolerable eavesdropper count in the distance-dependent case.
 
     (1-sqrt(1-eps_s)) / (pi*d0^2 + (1-pi*d0^2)*omega) where omega is the

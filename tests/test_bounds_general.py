@@ -159,27 +159,28 @@ class TestNuCoeffs:
     """The in-region masses behind nu1 = k^2 P(1 <= L <= k) and nu2 = k^2 P(L > k)."""
 
     def test_zero_radius(self):
-        assert region_sums(4, 2, 0.0) == (0.0, 0.0)
+        assert region_sums(4, 2, 0.0) == (1.0, 0.0, 0.0)
 
     def test_k_equals_n_upper_sum_empty(self):
-        s1, s2 = region_sums(4, 4, 0.25)
+        _, s1, s2 = region_sums(4, 4, 0.25)
         assert s2 == 0.0
 
     def test_hand_binomial_arithmetic(self):
         r = math.sqrt(0.25 / math.pi)  # pi r^2 = 0.25
-        s1, s2 = region_sums(4, 2, r)
+        empty, s1, s2 = region_sums(4, 2, r)
+        assert empty == pytest.approx(1.265625 / 4, rel=1e-9)
         assert s1 == pytest.approx(2.53125 / 4, rel=1e-9)
         assert s2 == pytest.approx(0.203125 / 4, rel=1e-9)
 
     def test_region_probability_cap(self):
         # past the inscribed disc the region law is the clipped disc, not pi*r^2 > 1
         assert region_sums(4, 2, 0.7) == _binom_sums(4, 2, disc_square_overlap(0.7))
-        assert region_sums(4, 2, math.inf) == (0.0, 1.0)
-        assert region_sums(4, 4, math.inf) == (1.0, 0.0)
+        assert region_sums(4, 2, math.inf) == (0.0, 0.0, 1.0)
+        assert region_sums(4, 4, math.inf) == (0.0, 1.0, 0.0)
 
 
 def exact_binom_sums(n, ks, p):
-    """{k: (P(1 <= L <= k), P(L > k))} in exact arithmetic.
+    """{k: (P(L = 0), P(1 <= L <= k), P(L > k))} in exact arithmetic.
 
     A float p is a dyadic rational a/d, so each mass is an integer over d^n.
     """
@@ -192,7 +193,8 @@ def exact_binom_sums(n, ks, p):
     for l in range(n + 1):
         cum.append(cum[-1] + math.comb(n, l) * pa[l] * pb[n - l])
     total = d**n
-    return {k: (float(Fraction(cum[k + 1] - cum[1], total)),
+    return {k: (float(Fraction(cum[1], total)),
+                float(Fraction(cum[k + 1] - cum[1], total)),
                 float(Fraction(cum[n + 1] - cum[k + 1], total)))
             for k in ks}
 
@@ -212,13 +214,13 @@ class TestBinomSums:
             assert _binom_sums(n, k, p) == pytest.approx(want, rel=self.REL, abs=0.0), k
 
     def test_degenerate_probabilities_are_exact(self):
-        assert _binom_sums(9, 3, 0.0) == (0.0, 0.0)
-        assert _binom_sums(9, 3, 1.0) == (0.0, 1.0)
-        assert _binom_sums(9, 9, 1.0) == (1.0, 0.0)
+        assert _binom_sums(9, 3, 0.0) == (1.0, 0.0, 0.0)
+        assert _binom_sums(9, 3, 1.0) == (0.0, 0.0, 1.0)
+        assert _binom_sums(9, 9, 1.0) == (0.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("n", [1031, 1500, 10_000])
     def test_no_overflow_past_a_thousand_relays(self, n):
-        s1, s2 = _binom_sums(n, 3, math.pi * 0.09)
+        _, s1, s2 = _binom_sums(n, 3, math.pi * 0.09)
         assert 0.0 <= s1 <= 1.0 and s2 == pytest.approx(1.0, rel=1e-9)
 
 
@@ -327,7 +329,7 @@ class TestTauWindowsGeneral:
         linear = math.log((1 - eps_t) / s1)
         for s2, rel in ((0.0, 1e-15), (1e-9, 1e-8), (1e-30, 1e-15)):
             # at s2 = 1e-30, far below nu1's last digit, an unrationalized root cancels to 0
-            got = _log_survival_target(k, eps_t, (s1, s2), 1.0 - s1 - s2)
+            got = _log_survival_target(k, eps_t, (1.0 - s1 - s2, s1, s2))
             assert got == pytest.approx(linear, rel=rel)
 
     def test_tiny_above_k_mass_leaves_the_window_as_at_k_equals_n(self):
@@ -395,8 +397,9 @@ def test_survival_target_solves_the_reliability_quadratic(inputs, gamma_r, alpha
     passes the largest float.
     """
     n, k, r = inputs
-    s1, s2 = region_sums(n, k, r)
-    log_x = _log_survival_target(k, eps_t, (s1, s2), 1.0 - s1 - s2)
+    sums = region_sums(n, k, r)
+    _, s1, s2 = sums
+    log_x = _log_survival_target(k, eps_t, sums)
     tau_hi = tau_max_general(n, k, r, gamma_r, alpha, delta, eps_t)
     assert tau_hi is None or math.isfinite(tau_hi)
     if log_x is None:
@@ -476,7 +479,7 @@ class TestMaxEavesGeneral:
 def mp_tau_max_general(n, k, r, gamma_r, alpha, delta, eps_t):
     """sqrt(-log(target) / denom) at 60 digits from the float region sums and hop sum."""
     with mp.workdps(60):
-        s1, s2 = (mp.mpf(v) for v in region_sums(n, k, r))
+        s1, s2 = (mp.mpf(v) for v in region_sums(n, k, r)[1:])
         c = 1 - mp.mpf(eps_t)
         target = 2 * c * k * k / (mp.sqrt((k * k * s1) ** 2 + 4 * c * k * k * s2) + k * k * s1)
         hop_sum = mp.mpf(geometry_integrals(alpha, delta).hop_sum)
@@ -526,7 +529,7 @@ def test_window_and_tolerance_against_high_precision(eps_s):
         level = mp.mpf(gamma_e) * mp.mpf(GEO.corner) * mp.mpf(d0) ** ALPHA
         x = mp.log((y - cap) / (1 - cap)) / ((n - 1) * mp.log(1 + level))
         tau_lo = -mp.log(1 + x)
-        s1, s2 = (mp.mpf(v) for v in region_sums(n, k, r))
+        s1, s2 = (mp.mpf(v) for v in region_sums(n, k, r)[1:])
         c = 1 - mp.mpf(eps_t)
         target = 2 * c * k * k / (mp.sqrt((k * k * s1) ** 2 + 4 * c * k * k * s2) + k * k * s1)
         denom = mp.mpf(gamma_r) * (n - 1) * mp.mpf(GEO.hop_sum) * (0.5 + mp.mpf(r)) ** ALPHA

@@ -140,7 +140,6 @@ def test_bound_caches_are_transparent():
     rng, golden = random.Random(20131), read_golden()
     bgen.geometry_integrals.cache_clear()
     bgen.region_sums.cache_clear()
-    bgen._log_target.cache_clear()
     for _ in ("cold", "warm"):
         entries = rng.sample(golden, len(golden))
         assert [data_row(args) for args, _ in entries] == [row for _, row in entries]

@@ -716,7 +716,7 @@ def test_bound_region_law_is_the_one_select_samples(n, k, r):
     rep = estimate(general_params(n=n, m=0, k=k, r=r), trials, seed=2013)
     p = disc_square_overlap(r)
     pmf = [math.comb(n, l) * p**l * (1 - p) ** (n - l) for l in range(n + 1)]
-    none = 1.0 - sum(region_sums(n, k, r))
+    none = 1.0 - sum(region_sums(n, k, r)[1:])
     assert none >= 0.01 and none == pytest.approx(pmf[0], rel=1e-12)
     assert abs(rep.no_candidate_rate - none) <= 4 * math.sqrt(none * (1 - none) / trials)
     # the candidate count c = min(k, L) of a trial with a candidate

@@ -86,7 +86,7 @@ def test_region_sums_match_the_numpy_masses(n, r):
     p = bgen.disc_square_overlap(r)
     pmf = np_binom_pmf(n, np.arange(n + 1), math.log(p), math.log1p(-p))
     for k in sorted({1, 2, 3, 5, n // 2, n - 1, n} & set(range(1, n + 1))):
-        want = (float(pmf[1 : k + 1].sum()), float(pmf[k + 1 :].sum()))
+        want = (float(pmf[0]), float(pmf[1 : k + 1].sum()), float(pmf[k + 1 :].sum()))
         for got, expected in zip(bgen.region_sums(n, k, r), want):
             assert got == pytest.approx(expected, rel=REL, abs=0.0), k
 

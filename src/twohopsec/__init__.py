@@ -18,4 +18,5 @@ def __getattr__(name: str):  # the simulator, and with it NumPy, on first use
     if name not in ("compare", "estimate"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import montecarlo
+
     return getattr(montecarlo, name)

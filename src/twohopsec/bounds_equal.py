@@ -136,9 +136,10 @@ def _root(log_target: float, denom: float, log_denom: float):
     """sqrt(-log_target / denom), the largest admissible tau.
 
     ``log_target`` is the log of the smallest survival level the reliability
-    requirement admits; >= 0 means no threshold meets it.  Where ``denom`` or
-    the quotient leaves the normal float range (a tiny or huge gamma_r), the
-    root comes from ``log_denom``, the log of ``denom`` taken factor by factor.
+    requirement admits; >= 0 means no threshold meets it.  Where ``denom``
+    or the quotient leaves the normal float range (a tiny or huge gamma_r),
+    the root is formed in log space from ``log_denom``, the log of ``denom``
+    taken factor by factor; past the largest float it reads inf.
     """
     if log_target >= 0.0:
         return None

@@ -76,6 +76,7 @@ class SweepSpec:
 
     def values(self):
         import numpy as np
+
         if self.steps == 1:
             grid = np.array([self.start], dtype=float)
         elif self.scale == "log":
@@ -570,6 +571,7 @@ def __getattr__(name: str):  # the simulator, and with it NumPy, on first use
     if name != "estimate":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .montecarlo import estimate
+
     return globals().setdefault("estimate", estimate)
 
 

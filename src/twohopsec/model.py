@@ -191,6 +191,7 @@ class NetworkInstance:
 
     def position(self, node) -> np.ndarray:
         import numpy as np
+
         if self.case is Case.EQUAL_PATH_LOSS:
             raise ValueError("equal-path-loss instances carry no geometry")
         kind, idx = node
@@ -210,6 +211,7 @@ class NetworkInstance:
         if self.case is Case.EQUAL_PATH_LOSS:
             return 1.0
         import numpy as np
+
         pa, pb = self.position(a), self.position(b)
         return float(np.hypot(pa[0] - pb[0], pa[1] - pb[1]))
 

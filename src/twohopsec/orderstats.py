@@ -109,17 +109,19 @@ def _binom_masses(n: int, counts, log_p, log_q, xp=math):
     return masses if xp is math else masses[0]
 
 
-def _rank_cdfs(x, xp, count: int, n: int):
-    """F_1(x), ..., F_count(x), F_j(x) = P(Binomial(n, 1 - e^{-2x}) >= n - j + 1).
+def _rank_masses(x, xp, count: int, n: int):
+    """The Binomial(n, 1 - e^{-2x}) masses at l = n, n - 1, ..., n - count + 1.
 
-    F_j adds the mass at l = n - j + 1 to F_{j-1}, so the CDFs are the
-    running sums, in order, of the masses at l = n, ..., n - count + 1;
-    log(1 - p) = -2x exactly.  A list on ``math``, else an array whose
-    leading axis runs over the ranks.
+    The j-th largest gain's CDF F_j(x) = P(L >= n - j + 1) is the sum of the
+    first j of them; log(1 - p) = -2x exactly.
     """
     log_q = -2.0 * x
-    masses = _binom_masses(n, range(n, n - count, -1), xp.log(-xp.expm1(log_q)), log_q, xp)
-    return list(accumulate(masses)) if xp is math else xp.cumsum(masses, axis=0)
+    return _binom_masses(n, range(n, n - count, -1), xp.log(-xp.expm1(log_q)), log_q, xp)
+
+
+def _sum_in_order(terms, xp):
+    """terms[0] + terms[1] + ..., added one at a time along the leading axis."""
+    return reduce(add, terms) if xp is math else xp.cumsum(terms, axis=0)[-1]
 
 
 def kth_largest_cdf(x, j: int, n: int):
@@ -129,7 +131,7 @@ def kth_largest_cdf(x, j: int, n: int):
     for j = n it collapses to the minimum, 1 - e^{-2nx}.
     """
     _validate_rank(j, n, "j")
-    return _apply(lambda v, xp: _rank_cdfs(v, xp, j, n)[-1], x)
+    return _apply(lambda v, xp: _sum_in_order(_rank_masses(v, xp, j, n), xp), x)
 
 
 def topk_random_cdf(x, k: int, n: int):
@@ -140,9 +142,11 @@ def topk_random_cdf(x, k: int, n: int):
     """
     _validate_rank(k, n, "k")
 
-    def cdf(v, xp):  # the ranks summed in order, as mixture_cdf sums them
-        cdfs = _rank_cdfs(v, xp, k, n)
-        return (reduce(add, cdfs) if xp is math else xp.cumsum(cdfs, axis=0)[-1]) / k
+    def cdf(v, xp):  # F_1, ..., F_k are the running sums; added in order, as mixture_cdf adds
+        masses = _rank_masses(v, xp, k, n)
+        ranks = accumulate(masses) if xp is math else xp.cumsum(masses, axis=0)
+        return _sum_in_order(ranks, xp) / k
+
     return _apply(cdf, x)
 
 

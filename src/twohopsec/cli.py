@@ -303,7 +303,7 @@ def _csv_row(point: _Point) -> str:
             tau_min=bnd.window.tau_min,
             tau_max=bnd.window.tau_max,
             max_m=tol.bound if tol is not None else None,
-            feasible=bnd.feasible,
+            feasible=bnd.window.feasible,
         )
     if point.error is not None:
         cells["feasible"] = "error"
@@ -410,7 +410,7 @@ def _sweep_summary(param: str, point: _Point) -> str:
     parts = []
     if point.bnd is not None:
         parts += [f"bound_t={_fmt(point.bnd.bound_t)}",
-                  f"feasible={str(point.bnd.feasible).lower()}"]
+                  f"feasible={str(point.bnd.window.feasible).lower()}"]
     if point.est is not None:
         parts += [f"p_t_hat={point.est.p_t_hat:.6g}", f"jain={point.est.jain_index:.4g}"]
     return f"{tag}: " + " ".join(parts)

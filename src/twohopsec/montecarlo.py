@@ -139,8 +139,8 @@ class ComparisonRow:
     s_slack: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """95% Wilson score interval for a binomial proportion.
 
     The endpoints at 0 and at ``trials`` successes are exactly 0 and 1: the
     formula gives them only up to rounding.
@@ -148,9 +148,9 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple:
     if trials < 1:
         raise ValueError("trials must be positive")
     p = successes / trials
-    zz = z * z / trials
+    zz = _Z95 * _Z95 / trials
     center = (p + zz / 2.0) / (1.0 + zz)
-    half = (z / (1.0 + zz)) * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials))
+    half = (_Z95 / (1.0 + zz)) * math.sqrt(p * (1.0 - p) / trials + zz / (4.0 * trials))
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)

@@ -11,7 +11,7 @@ the closed forms can be cross-checked empirically.
 A real ``x`` gives a float computed on ``math``; an array-like ``x`` gives
 an array from the same arithmetic on NumPy's elementwise exp, log and
 expm1.  Every binomial mass is one form, exp(log C(n, l) + l log p +
-(n - l) log(1 - p)) with log C(n, l) off a table of log l!, so no factor
+(n - l) log(1 - p)) with log C(n, l) from ``math.lgamma``, so no factor
 overflows at any n; an array forms them in one NumPy call over a counts
 axis.  The j-th largest gain's CDF sums the masses at l = n, n - 1, ...,
 n - j + 1, so the top-k CDF forms k masses and reads every rank off their
@@ -75,22 +75,6 @@ def min_pair_cdf(x):
     return _apply(lambda v, xp: -xp.expm1(-2.0 * v), x)
 
 
-# log l! at index l, each entry math.lgamma(l + 1), its length a power of 2.  An
-# entry depends on its index only, never on the call history.
-_log_factorial_table = [0.0]
-
-
-def _log_factorials(n: int) -> list:
-    """The table of log l!, replaced by one grown to the next power of 2 past n if it
-    does not reach n, so a concurrent caller never sees a half-grown table."""
-    global _log_factorial_table
-    table = _log_factorial_table
-    if n >= len(table):
-        grown = [math.lgamma(l + 1) for l in range(len(table), 2 ** int(n).bit_length())]
-        table = _log_factorial_table = table + grown
-    return table
-
-
 def _binom_masses(n: int, counts, log_p, log_q, xp=math):
     """Binomial(n, p) masses at the integer ``counts``, 0 <= l <= n, from log p and log(1 - p).
 
@@ -99,14 +83,13 @@ def _binom_masses(n: int, counts, log_p, log_q, xp=math):
     count of 0 at p = 0, or of n at p = 1, would form 0 * -inf: callers
     settle those p themselves.
     """
-    log_fact = _log_factorials(n)
-    if xp is not math:  # the whole counts axis as one array
-        log_fact = xp.asarray(log_fact[: n + 1])
-        counts = [xp.reshape(xp.asarray(counts), (-1,) + (1,) * xp.ndim(log_p))]
-    exp, top = xp.exp, log_fact[n]
-    masses = [exp(top - log_fact[l] - log_fact[n - l] + l * log_p + (n - l) * log_q)
-              for l in counts]
-    return masses if xp is math else masses[0]
+    lgamma, top = math.lgamma, math.lgamma(n + 1)
+    log_c = [top - lgamma(l + 1) - lgamma(n - l + 1) for l in counts]
+    if xp is math:
+        return [math.exp(c + l * log_p + (n - l) * log_q) for c, l in zip(log_c, counts)]
+    shape = (-1,) + (1,) * xp.ndim(log_p)  # the whole counts axis as one array
+    l = xp.reshape(xp.asarray(counts), shape)
+    return xp.exp(xp.reshape(log_c, shape) + l * log_p + (n - l) * log_q)
 
 
 def _rank_masses(x, xp, count: int, n: int):

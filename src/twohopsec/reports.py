@@ -48,10 +48,6 @@ class BoundReport:
     window: TauWindow
     max_eaves: EavesTolerance | None
 
-    @property
-    def feasible(self) -> bool:
-        return self.window.feasible
-
 
 def evaluate_bounds(
     params: ProtocolParams,

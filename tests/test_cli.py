@@ -235,6 +235,56 @@ class TestCheckedInput:
         with pytest.raises(ValueError, match="'sweep.steps' must be an integer"):
             RunConfig.from_dict({"sweep": {"param": "k", "from": 1, "to": 3, "steps": True}})
 
+    @pytest.mark.parametrize("argv, yaml_text, message", [
+        (["simulate", "--trials", "0"], None, "field 'trials' must be at least 1"),
+        (["simulate", "--seed", "-1"], None, "field 'seed' must be nonnegative"),
+        (["bounds"], "- 1\n- 2\n", "config file must contain a mapping of key-value pairs"),
+        (["bounds"], "n: abc\n", "field 'n' must be an integer, got 'abc'"),
+        (["bounds"], "tau: abc\n", "field 'tau' must be a number, got 'abc'"),
+        (["sweep"], "sweep: 3\n", "sweep must be a mapping"),
+        (["sweep"], "sweep: {param: k, from: 1, to: 3, bogus: 1}\n",
+         "unknown sweep field 'bogus'"),
+        (["sweep"], "sweep: {param: gamma_e, from: 1, to: 2, scale: cubic}\n",
+         "sweep.scale must be 'linear' or 'log'"),
+        (["sweep", "--sweep-param", "k"], None, "sweep requires --sweep-from and --sweep-to"),
+        (["bounds", "--n", "-1", "--k", "1"], None, "node counts must be nonnegative"),
+        (["bounds", "--d0", "-1"], None, "capture radius d0 must be nonnegative"),
+        (["bounds", "--es", "0"], None, "transmit power es must be positive"),
+        (["bounds", "--n0", "-1"], None, "noise level n0 must be nonnegative"),
+        (["bounds", "--delta", "0"], None, "distance clamp delta must be positive"),
+    ])
+    def test_rejected_input_exits_2(self, tmp_path, argv, yaml_text, message, capsys):
+        if yaml_text is not None:
+            cfg = tmp_path / "run.yaml"
+            cfg.write_text(yaml_text)
+            argv = argv + ["--config", str(cfg)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert f"configuration error: {message}\n" in captured.err and captured.out == ""
+
+    def test_empty_config_gives_the_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.yaml"
+        cfg.write_text("")
+        assert run_cli(["bounds"]) == 0
+        defaults = capsys.readouterr().out
+        assert run_cli(["bounds", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == defaults
+
+    @pytest.mark.parametrize("line", ["x", "", "config: {}"])
+    def test_only_a_config_comment_parses(self, line):
+        with pytest.raises(ValueError, match="not a config comment line"):
+            parse_config_comment(line)
+
+    def test_a_run_without_a_selection_has_the_one_documented_nan(self, tmp_path):
+        # load_balance gives (nan, nan) for an all-zero selection histogram; no other
+        # cell of an accepted run is nan
+        out = tmp_path / "none.csv"
+        assert run_cli(["simulate", "--case", "general", "--r", "1e-9", "--trials", "5",
+                        "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [name for name, cell in rows[0].items() if cell == "nan"] == ["jain", "entropy"]
+        assert rows[0]["no_candidate_rate"] == "1.0" and rows[0]["p_t_hat"] == "1.0"
+
 
 class TestSweep:
     @pytest.mark.parametrize("command, skip", [("simulate", "--no-bounds"),
@@ -784,7 +834,8 @@ class TestSetupImports:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    codes = [cli.main(argv) for argv in {argvs!r}]\n"
             "assert codes == [0] * len(codes), codes\n"
-            "print([m for m in ('numpy', 'twohopsec.montecarlo') if m in sys.modules])\n"
+            "print([m for m in ('numpy', 'twohopsec.montecarlo', 'twohopsec.protocol')"
+            " if m in sys.modules])\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
             "    code = cli.main(['simulate', '--trials', '200'])\n"

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twohopsec.model import (
+from twohopsec.model import Case, ConfigurationError, ProtocolParams
+from twohopsec.protocol import (
     DEST,
     SOURCE,
-    Case,
-    ConfigurationError,
     NetworkInstance,
-    ProtocolParams,
     eave_node,
     path_loss,
     realize_network,

@@ -86,6 +86,16 @@ class TestWilson:
         assert hi == pytest.approx(center + half, abs=1e-12)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: wilson_interval(0, 0), "trials must be positive"),
+    (lambda: estimate(equal_params(), trials=10, seed=-1),
+     "seed must be a nonnegative integer"),
+])
+def test_rejected_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestLoadBalance:
     def test_uniform(self):
         assert load_balance([20, 20, 20, 20, 20]) == pytest.approx((1.0, 1.0))

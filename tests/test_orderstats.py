@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaln
 from scipy.stats import kstest
 
-from twohopsec import orderstats
 from twohopsec.orderstats import (
     kth_largest_cdf,
     min_pair_cdf,
@@ -133,8 +131,7 @@ class TestTopkRandom:
         assert cdf(np.array(0.2), rank, 5).shape == ()
         assert cdf(xs.reshape(2, 1), rank, 5).shape == (2, 1)
 
-    def test_numpy_integer_ranks(self, monkeypatch):
-        monkeypatch.setattr(orderstats, "_log_factorial_table", [0.0])  # the table must grow
+    def test_numpy_integer_ranks(self):
         got = kth_largest_cdf(0.5, np.int64(3), np.int64(5000))
         assert got == kth_largest_cdf(0.5, 3, 5000)
         assert topk_random_cdf(0.5, np.int32(4), np.int64(6000)) == topk_random_cdf(0.5, 4, 6000)
@@ -144,6 +141,16 @@ class TestTopkRandom:
             topk_random_cdf(0.3, 0, 5)
         with pytest.raises(ValueError):
             topk_random_cdf(0.3, 6, 5)
+
+    @pytest.mark.parametrize("j, n, message", [
+        (1, 3.0, "n must be a positive integer, got 3.0"),
+        (1, 0, "n must be a positive integer, got 0"),
+        (1.0, 3, "j must be an integer, got 1.0"),
+        (2.5, 3, "j must be an integer, got 2.5"),
+    ])
+    def test_non_integer_rank_or_count(self, j, n, message):
+        with pytest.raises(ValueError, match=message):
+            kth_largest_cdf(0.3, j, n)
 
     @pytest.mark.parametrize("x", [400.0, 1e300, 9e307, np.finfo(float).max])
     def test_is_one_up_to_the_largest_float(self, x):
@@ -215,22 +222,3 @@ def test_cdf_properties(n, data, x1, x2):
     assert 0.0 <= a <= b <= 1.0
     assert topk_random_cdf(-1.0, k, n) == 0.0
     assert topk_random_cdf(60.0, k, n) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestLogFactorialTable:
-    def test_matches_gammaln(self):
-        l = np.arange(10_001)
-        # each lies up to 3 ulp from the true log l! (mpmath), on either side
-        np.testing.assert_array_max_ulp(np.array(orderstats._log_factorials(10_000))[l],
-                                        gammaln(l + 1.0), maxulp=4)
-
-    def test_values_do_not_depend_on_the_order_of_growth(self, monkeypatch):
-        monkeypatch.setattr(orderstats, "_log_factorial_table", [0.0])
-        large_first = orderstats._log_factorials(5000).copy()
-        monkeypatch.setattr(orderstats, "_log_factorial_table", [0.0])
-        orderstats._log_factorials(3)
-        small_first = orderstats._log_factorials(5000)
-        n = min(len(large_first), len(small_first))
-        assert n > 5000
-        assert all(type(v) is float for v in small_first)
-        assert small_first[:n] == large_first[:n]

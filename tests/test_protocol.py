@@ -4,22 +4,19 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from twohopsec.model import (
+from twohopsec.model import Case, ProtocolParams
+from twohopsec.protocol import (
     DEST,
     SOURCE,
-    Case,
-    NetworkInstance,
-    ProtocolParams,
-    eave_node,
-    realize_network,
-    relay_node,
-)
-from twohopsec.protocol import (
     CandidateSet,
+    NetworkInstance,
+    eave_node,
     execute_trial,
     jammer_set,
     pick_relay,
+    realize_network,
     region_filter,
+    relay_node,
     run_trial,
     select_candidates,
 )

@@ -24,7 +24,7 @@ def test_equal_dispatch_matches_worked_example():
     rep = evaluate_bounds(p, 0.19, 0.19)
     assert rep.window.tau_min == pytest.approx(0.8571879103462934)
     assert rep.window.tau_max == pytest.approx(0.11476090125660518)
-    assert not rep.feasible
+    assert not rep.window.feasible
     assert rep.max_eaves.count == 0
 
 
@@ -40,7 +40,7 @@ def test_one_relay_has_both_bounds_and_no_window(case):
         bound_s = beq.secrecy_bound_equal(1, 2, 1.5, 0.4)
     assert (rep.bound_t, rep.bound_s) == (bound_t, bound_s)
     assert rep.window == TauWindow(None, None) and rep.max_eaves is None
-    assert not rep.feasible
+    assert not rep.window.feasible
     with pytest.raises(ValueError, match="eps_t"):
         evaluate_bounds(p, 1.0, 0.19)
 

@@ -7,12 +7,13 @@ their rows.  Each scenario gives one CSV row under a fixed 28-column schema;
 missing quantities are empty cells, never dropped columns, and infinite
 radii are written as the literal string ``inf``.  The first CSV line echoes
 the resolved configuration as a JSON comment so a result file reparses into
-the exact run that produced it.  The argument parser is built once per
-process and reused by every ``main`` call.  A call that opens with a command
-name and holds only exact flags with plain values is read straight off that
-command parser's flag table; every other call goes to the top-level parser,
-so every usage line and message is argparse's own.  The simulator, and with
-it NumPy, is imported on first use: a bounds call loads neither.
+the exact run that produced it, and a run writes comment, header and rows
+in one ``write``.  Every flag is defined once, in one table of rows.  A call
+that opens with a command name and holds only exact flags with plain values
+is read straight off that table; argparse is imported and its parser built
+(once per process) only for help, errors and irregular spellings, so every
+usage line and message is still argparse's own.  The simulator, and with it
+NumPy, is imported on first use: a bounds call loads neither.
 
 Exit codes: 0 success (including infeasible-but-computed results),
 2 malformed configuration, 3 numeric failure (including out of memory).
@@ -20,13 +21,13 @@ Exit codes: 0 success (including infeasible-but-computed results),
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .bounds_general import QuadratureError
 from .model import Case, ProtocolParams, derived_fields
@@ -87,14 +88,9 @@ class SweepSpec:
             return [int(v) for v in dict.fromkeys(int(round(x)) for x in grid)]
         return [float(x) for x in grid]
 
-    def to_dict(self):
-        return {
-            "param": self.param,
-            "from": self.start,
-            "to": self.stop,
-            "steps": self.steps,
-            "scale": self.scale,
-        }
+    def to_dict(self):  # keys in sorted order, as json's sort_keys writes them
+        return {"from": self.start, "param": self.param, "scale": self.scale,
+                "steps": self.steps, "to": self.stop}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
@@ -211,12 +207,13 @@ class RunConfig:
 
 
 # Derived at import, so a CLI call runs no dataclasses.fields().  Each field's
-# annotation picks its converter, and "T | None" also takes None.
+# annotation picks its converter, and "T | None" also takes None.  Sorted by
+# name, so to_dict's keys already stand in json's sort_keys order.
 _CONVERTERS = {"int": _as_int, "float": _as_float, "str": _as_str,
                "SweepSpec": lambda value, name: SweepSpec.from_dict(value)}
 _CONFIG_FIELDS = {
     f.name: (_CONVERTERS[f.type.split(" | ")[0]], f.type.endswith(" | None"))
-    for f in dataclasses.fields(RunConfig)
+    for f in sorted(dataclasses.fields(RunConfig), key=lambda f: f.name)
 }
 _PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(ProtocolParams) if f.name != "case")
 _INT_PARAMS = tuple(name for name in _SWEEPABLE if _CONFIG_FIELDS[name][0] is _as_int)
@@ -226,7 +223,7 @@ _COLUMNS = CSV_HEADER.split(",")
 _PARAM_COLUMNS = _COLUMNS[:_COLUMNS.index("trials")]
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
+def load_config(args: SimpleNamespace) -> RunConfig:
     """Merge defaults, YAML file values, and explicit CLI flags (in that order)."""
     data: dict = {}
     if args.config:
@@ -254,19 +251,18 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cell(value) -> str:
+    if type(value) is float:  # repr spells inf, -inf and nan as the cells do
+        return repr(value)
+    if type(value) is int:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, Case):
         return value.value
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        value = float(value)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
+    if isinstance(value, float):  # a NumPy scalar, written as the float it holds
+        return repr(float(value))
     return str(value)
 
 
@@ -311,10 +307,8 @@ def _csv_row(point: _Point) -> str:
 
 
 def _emit_csv(config: RunConfig, rows: list, stream) -> None:
-    print(f"# config: {json.dumps(config.to_dict(), sort_keys=True)}", file=stream)
-    print(CSV_HEADER, file=stream)
-    for row in rows:
-        print(row, file=stream)
+    # to_dict's keys come sorted, so json.dumps runs its cached encoder
+    stream.write("\n".join([f"# config: {json.dumps(config.to_dict())}", CSV_HEADER, *rows, ""]))
 
 
 def parse_config_comment(line: str) -> RunConfig:
@@ -416,7 +410,7 @@ def _sweep_summary(param: str, point: _Point) -> str:
     return f"{tag}: " + " ".join(parts)
 
 
-def _run(config: RunConfig, args: argparse.Namespace) -> None:
+def _run(config: RunConfig, args: SimpleNamespace) -> None:
     """Evaluate the command's points, then write their CSV rows or print its report.
 
     A one-point command fails with its point's error; a sweep writes it as an error row.
@@ -450,121 +444,127 @@ def _run(config: RunConfig, args: argparse.Namespace) -> None:
         _emit_csv(config, rows, sys.stdout)
 
 
+# Every flag, once: (option, dest, type, choices, default, help), in argparse's
+# order.  A type of None keeps the text as given; bool marks a store-true switch.
+_COMMON_FLAGS = (
+    ("--config", "config", None, None, None, "YAML configuration file"),
+    ("--case", "case", None, ("equal", "general"), None, None),
+    *((f"--{name}", name, int, None, None, None) for name in ("n", "m", "k", "trials", "seed")),
+    ("--workers", "workers", int, None, 1, None),
+    *((f"--{name.replace('_', '-')}", name, float, None, None, None)
+      for name in ("r", "tau", "gamma_r", "gamma_e", "alpha", "d0", "delta", "es", "n0",
+                   "eps_t", "eps_s")),
+    ("--out", "out", None, None, None, "write the CSV to this path"),
+    ("--report", "report", bool, None, False,
+     "print a human-readable summary instead of CSV on stdout"),
+)
+_SWEEP_FLAGS = (
+    ("--sweep-param", "sweep_param", None, _SWEEPABLE, None, None),
+    ("--sweep-from", "sweep_from", float, None, None, None),
+    ("--sweep-to", "sweep_to", float, None, None, None),
+    ("--sweep-steps", "sweep_steps", int, None, 1, None),
+    ("--sweep-scale", "sweep_scale", None, ("linear", "log"), "linear", None),
+    ("--no-bounds", "no_bounds", bool, None, False, "skip bound evaluation"),
+    ("--no-sim", "no_sim", bool, None, False, "skip Monte Carlo estimation"),
+)
+_COMMANDS = (  # (name, aliases, flags, help)
+    ("bounds", ("tau-range", "max-eaves"), _COMMON_FLAGS,
+     "evaluate all closed-form bounds, the tau window and the tolerable eavesdropper count"),
+    ("simulate", (), _COMMON_FLAGS, "Monte Carlo outage estimation"),
+    ("sweep", (), _COMMON_FLAGS + _SWEEP_FLAGS, "evaluate a parameter grid"),
+)
+# Per command name and alias: option -> (dest, type, choices), and the defaults
+# in the order argparse seeds them.
+_FLAGS = {name: {row[0]: row[1:4] for row in rows}
+          for command, aliases, rows, _ in _COMMANDS for name in (command, *aliases)}
+_DEFAULTS = {name: {row[1]: row[4] for row in rows}
+             for command, aliases, rows, _ in _COMMANDS for name in (command, *aliases)}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on first use; each ``parse_args`` returns a fresh namespace."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="YAML configuration file")
-    common.add_argument("--case", choices=["equal", "general"])
-    for name in ("n", "m", "k", "trials", "seed"):
-        common.add_argument(f"--{name}", type=int)
-    common.add_argument("--workers", type=int, default=1)
-    for flag, dest in (
-        ("--r", "r"), ("--tau", "tau"), ("--gamma-r", "gamma_r"),
-        ("--gamma-e", "gamma_e"), ("--alpha", "alpha"), ("--d0", "d0"),
-        ("--delta", "delta"), ("--es", "es"), ("--n0", "n0"),
-        ("--eps-t", "eps_t"), ("--eps-s", "eps_s"),
-    ):
-        common.add_argument(flag, dest=dest, type=float)
-    common.add_argument("--out", help="write the CSV to this path")
-    common.add_argument("--report", action="store_true",
-                        help="print a human-readable summary instead of CSV on stdout")
+def build_parser():
+    """The CLI's argparse parser, built from the flag table on first use only."""
+    import argparse  # only here: a well-formed call is read off the table
 
     parser = argparse.ArgumentParser(
         prog="twohopsec",
         description="Bounds and Monte Carlo simulation for a secure two-hop relay protocol",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("bounds", aliases=["tau-range", "max-eaves"], parents=[common],
-                   help="evaluate all closed-form bounds, the tau window and the "
-                        "tolerable eavesdropper count")
-    sub.add_parser("simulate", parents=[common], help="Monte Carlo outage estimation")
-    sweep = sub.add_parser("sweep", parents=[common], help="evaluate a parameter grid")
-    sweep.add_argument("--sweep-param", choices=list(_SWEEPABLE))
-    sweep.add_argument("--sweep-from", type=float)
-    sweep.add_argument("--sweep-to", type=float)
-    sweep.add_argument("--sweep-steps", type=int, default=1)
-    sweep.add_argument("--sweep-scale", choices=["linear", "log"], default="linear")
-    sweep.add_argument("--no-bounds", action="store_true", help="skip bound evaluation")
-    sweep.add_argument("--no-sim", action="store_true", help="skip Monte Carlo estimation")
+    for name, aliases, rows, summary in _COMMANDS:
+        command = sub.add_parser(name, aliases=list(aliases), help=summary)
+        for option, dest, kind, choices, default, text in rows:
+            how = {"action": "store_true"} if kind is bool else {"type": kind, "choices": choices}
+            command.add_argument(option, dest=dest, default=default, help=text, **how)
     return parser
 
 
-def _table_parse(command: argparse.ArgumentParser, argv: list) -> argparse.Namespace | None:
-    """What ``command.parse_known_args`` makes of ``argv[1:]``, read off its flag table.
+def _table_parse(argv: list) -> SimpleNamespace | None:
+    """What argparse makes of a call that opens with a command name, read off the table.
 
-    Read this way only when every token is an exact store flag followed by a value
-    that does not start with ``-``, or an exact store-true switch, and every
-    value converts and is among the flag's choices.  Anything else (``--n=7``,
-    an abbreviation, ``-h``, ``--``, a stray positional, a bad value) gives
-    None and is left to argparse, so every message is still its own.
+    Read this way only when every token is an exact flag followed by a value
+    that does not start with ``-``, or an exact switch, and every value
+    converts and is among the flag's choices.  Anything else (``--n=7``, an
+    abbreviation, ``-h``, ``--``, a stray positional, a bad value) gives None
+    and is left to argparse, so every message is still its own.
     """
-    args = argparse.Namespace(command=argv[0])
-    for action in command._actions:  # the defaults, seeded as argparse seeds them
-        if (action.dest is not argparse.SUPPRESS and not hasattr(args, action.dest)
-                and action.default is not argparse.SUPPRESS):
-            setattr(args, action.dest, action.default)
-    flags = command._option_string_actions
+    flags = _FLAGS[argv[0]]
+    args = SimpleNamespace(command=argv[0], **_DEFAULTS[argv[0]])
     tokens = iter(argv[1:])
     for token in tokens:
-        action = flags.get(token)
-        if type(action) is argparse._StoreTrueAction:
-            setattr(args, action.dest, action.const)
-            continue
-        if type(action) is not argparse._StoreAction or action.nargs is not None:
+        if token not in flags:
             return None
+        dest, kind, choices = flags[token]
+        if kind is bool:
+            setattr(args, dest, True)
+            continue
         text = next(tokens, "-")  # a missing value is left to argparse, as a dash is
         if text.startswith("-"):
             return None
         try:
-            value = text if action.type is None else action.type(text)
-        except (TypeError, ValueError):
+            value = text if kind is None else kind(text)
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        setattr(args, action.dest, value)
+        setattr(args, dest, value)
     return args
 
 
-def _misplaced_flag(parser: argparse.ArgumentParser, commands: dict, argv: list) -> str | None:
+def _misplaced_flag(argv: list) -> str | None:
     """The error for a call that opens with a flag of the command it names later."""
-    at = next((i for i, token in enumerate(argv) if token in commands), None)
-    if at is None or argv[0] not in commands[argv[at]]._option_string_actions:
+    at = next((i for i, token in enumerate(argv) if token in _FLAGS), None)
+    if at is None or argv[0] not in _FLAGS[argv[at]]:
         return None
     if any(token == "-h" or len(token) > 2 and "--help".startswith(token) for token in argv):
         return None  # argparse prints help wherever -h or --help (abbreviated or not) stands
     import shlex  # only on this error path
 
     call = shlex.join([argv[at], *argv[:at], *argv[at + 1:]])
-    return f"{argv[0]} must come after the command: {parser.prog} {call}"
+    return f"{argv[0]} must come after the command: {build_parser().prog} {call}"
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """Parse a call with as little of argparse as settles it, in up to two steps.
+def _parse_args(argv) -> SimpleNamespace:
+    """Parse a call off the flag table, or with argparse when the table cannot settle it.
 
     1. A call that opens with a command name and is well formed (see
-       ``_table_parse``) is read straight off that command parser's flag table.
-    2. The top-level parser takes the rest: no arguments, ``-h``, an unknown
+       ``_table_parse``) is read straight off the table.
+    2. The argparse parser takes the rest: no arguments, ``-h``, an unknown
        command, and every call ``_table_parse`` declines, so each usage line
        and message is argparse's own.  A call that opens with a flag of the
        command it names later, and asks for no help, is stopped with a message
        saying where the flag belongs.
     """
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the subparsers action maps each command name and alias to its parser
-    commands = next(a.choices for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args = _table_parse(command, argv)
+    if argv and argv[0] in _FLAGS:
+        args = _table_parse(argv)
         if args is not None:
             return args
     elif argv:
-        message = _misplaced_flag(parser, commands, argv)
+        message = _misplaced_flag(argv)
         if message is not None:
-            parser.error(message)
-    return parser.parse_args(argv)
+            build_parser().error(message)
+    return SimpleNamespace(**vars(build_parser().parse_args(argv)))
 
 
 def __getattr__(name: str):  # the simulator, and with it NumPy, on first use

@@ -42,7 +42,8 @@ would turn a finite SINR into +inf or NaN, so it raises
 ``FloatingPointError`` with a message that says so, and so does a NaN SINR
 in ``_reduce``.  Two overflows are the right value and pass: an attenuation
 past the float range (a huge alpha) is +inf, a path loss of 0, and an SINR
-quotient may overflow to the right +inf (a subnormal noise level).
+quotient may reach the right +inf (over a subnormal noise level it overflows,
+and at n0 = 5e-324 the noise half rounds to a zero divisor).
 
 Distances are handled squared, so no square root is taken: the region test
 is x^2 + y^2 <= r^2, capture is d^2 < d0^2, and the path loss is applied as
@@ -73,6 +74,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -334,9 +336,10 @@ def _legit_sinr(params, g_sr, g_dr, g_rr, jammers, jstar, rx, ry) -> np.ndarray:
     ones = np.ones(g_rr.shape[1])
     intf1 = es * ((jammers[:, 0] * g_rr / att_rr) @ ones)
     intf2 = es * ((jammers[:, 1] * g_dr / att_rd) @ ones)
-    # With a subnormal noise level and no jammer the quotient overflows to
-    # +inf, which is the right SINR.
-    with np.errstate(over="ignore"):
+    # With a subnormal noise level and no jammer the quotient overflows, or
+    # divides by a noise half that rounds to 0, to +inf: the right SINR.  A
+    # signal that underflows to 0 over that 0 is NaN, which _reduce refuses.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return np.minimum(sig1 / (intf1 + noise), sig2 / (intf2 + noise))
 
 
@@ -403,8 +406,8 @@ def _eaves(params, rng, g_se, eav, jammers, jstar, rx, ry) -> np.ndarray:
     intf_e *= es
     np.divide(es * sig_e2, att_e2, out=sig_e2)
     noise = params.n0 / 2.0
-    # SINRs overwrite the signal arrays; an overflow is the right +inf here too
-    with np.errstate(over="ignore"):
+    # SINRs overwrite the signal arrays; +inf and NaN are handled as above
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sinr_e1 = np.divide(sig_e1, intf_e[:, 0] + noise, out=sig_e1)
         sinr_e2 = np.divide(sig_e2, intf_e[:, 1] + noise, out=sig_e2)
     if general:
@@ -496,7 +499,7 @@ def estimate(
     Outage frequencies get Wilson 95% intervals; trials with an empty
     candidate set count as transmission outages and are also reported
     separately.  Reproducible for fixed (params, trials, seed, batch_size)
-    regardless of ``workers``.
+    regardless of ``workers``, of which at most one per batch and CPU is started.
 
     Given a sequence of ``gamma_r`` or ``gamma_e`` values (at most one of
     the two), every value is evaluated on the same trials and a list with
@@ -528,7 +531,8 @@ def estimate(
         (params, seed, b, min(batch_size, trials - b * batch_size), grid_r, grid_e)
         for b in range(n_batches)
     ]
-    if workers > 1 and n_batches > 1:
+    workers = min(workers, n_batches, os.cpu_count() or 1)  # a pool forks all it is sized for
+    if workers > 1:
         # only here: importing it costs set-up time on every single-process run
         from concurrent.futures import ProcessPoolExecutor
 

@@ -11,13 +11,18 @@ in-process ``bounds`` CLI call must give a value in its range, None (an
 unattainable requirement), or one of the clean errors: ``ValueError``,
 ``FloatingPointError`` or ``QuadratureError``, which the CLI turns into
 exit 2 or 3.
+
+The engine side draws small in-process ``simulate`` and ``sweep`` calls, with
+(n+1)(m+1)·trials capped so the whole draw takes a few seconds.  Each must
+exit 0, 2 or 3, and a written row holds no ``nan`` but the documented one:
+the ``jain`` and ``entropy`` cells of a run in which no trial selects a relay.
 """
 
 import contextlib
 import io
 import math
 
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from twohopsec import bounds_equal as beq
@@ -157,3 +162,58 @@ def test_accepted_inputs_give_a_value_none_or_a_clean_error(params, eps_t, eps_s
         assert header == CSV_HEADER
         assert "nan" not in row.lower().split(","), row
         assert err.getvalue() == ""
+
+
+_powers = _with_extremes([0.0, 5e-324, 1e-300, 1e300, BIGGEST], st.floats(1e-6, 1e6))
+ENGINE_BUDGET = 4000  # (n+1)(m+1)·trials of one call
+
+
+@st.composite
+def _engine_argv(draw):
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 4))
+    trials = draw(st.integers(1, ENGINE_BUDGET // ((n + 1) * (m + 1))))
+    k = draw(st.integers(min(n, 1), n + 1))
+    argv = [draw(st.sampled_from(["simulate", "sweep"])),
+            "--case", draw(st.sampled_from(["equal", "general"])), "--n", str(n),
+            "--m", str(m), "--k", str(k), "--trials", str(trials),
+            "--seed", str(draw(st.integers(0, 2**32)))]
+    for flag, values in [("--r", _radii), ("--tau", _taus), ("--gamma-r", _thresholds),
+                         ("--gamma-e", _thresholds), ("--alpha", st.floats(2.0, 40.0)),
+                         ("--d0", _capture_radii), ("--delta", st.floats(1e-6, 10.0)),
+                         ("--es", _powers), ("--n0", _powers)]:
+        if draw(st.booleans()):
+            argv += [flag, repr(draw(values))]
+    if argv[0] == "sweep":
+        param, values = draw(st.sampled_from([
+            ("r", _radii), ("tau", _taus), ("gamma_r", _thresholds),
+            ("gamma_e", _thresholds), ("k", st.integers(0, n + 1))]))
+        argv += ["--sweep-param", param, "--sweep-from", repr(draw(values)),
+                 "--sweep-to", repr(draw(values)), "--sweep-steps", str(draw(st.integers(1, 3)))]
+        if draw(st.booleans()):
+            argv.append("--no-bounds")
+    return argv
+
+
+# the documented NaN: no trial of this run selects a relay
+@example(argv=["simulate", "--case", "general", "--r", "1e-9", "--trials", "5"])
+# the smallest noise level, whose half rounds to 0: a zero divisor warned on both SINRs
+@example(argv=["simulate", "--n", "1", "--m", "1", "--k", "1", "--n0", "5e-324"])
+# ... and a signal that underflows to 0 over it: 0/0 warned before _reduce refused the NaN
+@example(argv=["simulate", "--case", "general", "--n", "8", "--m", "2", "--k", "2",
+               "--trials", "97", "--r", "0.2", "--es", "5e-324", "--n0", "5e-324"])
+@settings(max_examples=200, deadline=None)
+@given(argv=_engine_argv())
+def test_small_engine_calls_exit_cleanly_with_only_the_documented_nan(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        lines = out.getvalue().splitlines()
+        assert lines[1] == CSV_HEADER and len(lines) > 2 and err.getvalue() == ""
+        for line in lines[2:]:
+            row = dict(zip(CSV_HEADER.split(","), line.split(",")))
+            unselected = row["no_candidate_rate"] == "1.0"
+            assert [name for name, cell in row.items() if cell.lower() == "nan"] == (
+                ["jain", "entropy"] if unselected else []), line

@@ -846,6 +846,31 @@ class TestSetupImports:
                               text=True, check=True)
         assert proc.stdout.splitlines() == ["False", "[]", "0 ['200', '1']"]
 
+    def test_well_formed_calls_build_no_parser(self):
+        argvs = [["bounds"], ["tau-range", "--n", "7"], ["max-eaves", "--report"],
+                 ["simulate", "--trials", "200"],
+                 ["sweep", "--sweep-param", "k", "--sweep-from", "1", "--sweep-to", "2",
+                  "--no-sim"]]
+        script = (
+            "import contextlib, io, sys\n"
+            "from twohopsec import cli\n"
+            "def run(argvs):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        with contextlib.redirect_stderr(io.StringIO()):\n"
+            "            for argv in argvs:\n"
+            "                try:\n"
+            "                    assert cli.main(argv) == 0, argv\n"
+            "                except SystemExit as exc:\n"
+            "                    assert exc.code == 0, argv\n"
+            "    return cli.build_parser.cache_info().currsize, 'argparse' in sys.modules\n"
+            f"print(*run({argvs!r}), *run([['bounds', '--n=7']]), *run([['simulate', '-h']]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        # well formed: no parser and no argparse; --n=7 and -h build the parser
+        assert proc.stdout.split() == ["0", "False", "1", "True", "1", "True"]
+
     def test_config_run_loads_yaml(self, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("n: 6\n")
@@ -867,6 +892,8 @@ class TestHelpText:
         (["--help"], "help_twohopsec.txt"),
         (["bounds", "--help"], "help_bounds.txt"),
         (["sweep", "--help"], "help_sweep.txt"),
+        (["simulate", "--help"], "help_simulate.txt"),
+        (["tau-range", "--help"], "help_tau_range.txt"),
     ])
     def test_golden(self, argv, golden, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -149,6 +150,37 @@ class TestEstimate:
             assert a.p_s_hat == other.p_s_hat
             assert a.ci_t == other.ci_t
             assert np.array_equal(a.selection_histogram, other.selection_histogram)
+
+    def test_pool_starts_no_more_processes_than_batches(self, monkeypatch):
+        # A ProcessPoolExecutor forks every process it is sized for at its first
+        # submit, so the pool is sized by the batches; this one maps serially.
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        p = general_params(n=8, m=3, k=2)
+        pooled = estimate(p, 2 * BATCH_SIZE, seed=4, workers=64)
+        assert sizes == [2]
+        assert_same_report(pooled, estimate(p, 2 * BATCH_SIZE, seed=4, workers=1))
+        estimate(p, BATCH_SIZE, seed=4, workers=64)  # one batch runs in this process
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        estimate(p, 2 * BATCH_SIZE, seed=4, workers=64)  # so does an unknown CPU count
+        assert sizes == [2]
 
     def test_ci_width_shrinks_like_root_two(self):
         p = equal_params(n=5, k=5, tau=0.8, gamma_r=1.0, m=0)
